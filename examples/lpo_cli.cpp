@@ -38,6 +38,7 @@
 #include "support/failpoint.h"
 #include "support/kvstore.h"
 #include "support/telemetry.h"
+#include "support/thread_pool.h"
 #include "support/trace.h"
 #include "verify/persist.h"
 #include "verify/refine.h"
@@ -279,7 +280,7 @@ beginObservability(const RunOptions &options)
  */
 int
 finishObservability(const RunOptions &options,
-                    const core::PipelineStats &stats)
+                    const core::PipelineStats &stats, uint64_t wall_ns)
 {
     int rc = 0;
     if (options.profile || !options.metrics_path.empty()) {
@@ -287,7 +288,13 @@ finishObservability(const RunOptions &options,
             telemetry::MetricsRegistry::instance().snapshot();
         if (options.profile)
             std::fprintf(stderr, "%s",
-                         core::profileSummary(stats, snapshot).c_str());
+                         core::profileSummary(
+                             stats, snapshot,
+                             options.config.num_threads
+                                 ? options.config.num_threads
+                                 : ThreadPool::hardwareThreads(),
+                             wall_ns)
+                             .c_str());
         if (!options.metrics_path.empty()) {
             std::ofstream out(options.metrics_path,
                               std::ios::binary | std::ios::trunc);
@@ -336,7 +343,9 @@ cmdRun(const char *path, const RunOptions &options)
     llm::MockModel model(llm::modelByName(options.model), 1);
     core::Pipeline pipeline(model, options.config);
     extract::Extractor extractor;
+    uint64_t start_ns = telemetry::nowNanos();
     auto outcomes = pipeline.processModule(**module, extractor, 1);
+    uint64_t wall_ns = telemetry::nowNanos() - start_ns;
     for (const auto &outcome : outcomes) {
         if (!outcome.found())
             continue;
@@ -357,7 +366,7 @@ cmdRun(const char *path, const RunOptions &options)
     if (options.degradation_stats && !anyDegradation(pipeline.stats()))
         std::fprintf(stderr, "%s",
                      core::degradationStatsLine(pipeline.stats()).c_str());
-    return finishObservability(options, pipeline.stats());
+    return finishObservability(options, pipeline.stats(), wall_ns);
 }
 
 int
@@ -452,7 +461,8 @@ cmdOptimizeModule(const char *path, const RunOptions &options)
             return 1;
         }
     }
-    return finishObservability(options, result.pipeline);
+    return finishObservability(options, result.pipeline,
+                               result.pipeline.timings.total_ns);
 }
 
 /** `lpo store info|verify|compact <dir>` — offline store maintenance.
@@ -675,7 +685,9 @@ usage()
         "  --sat-stats                print the per-run solver stat\n"
         "                             line (decisions / conflicts /\n"
         "                             propagations / restarts /\n"
-        "                             learnts carried)\n"
+        "                             learnts carried, and the\n"
+        "                             propagations/s and conflicts/s\n"
+        "                             of the solve calls)\n"
         "  --degradation-stats        print the degradation telemetry\n"
         "                             line (budget-ladder escalations,\n"
         "                             concrete fallbacks, degraded\n"

@@ -439,6 +439,7 @@ Pipeline::runCase(const ir::Function &seq, uint64_t round_seed,
     stats.sat_conflicts += telemetry.conflicts;
     stats.sat_propagations += telemetry.propagations;
     stats.sat_restarts += telemetry.restarts;
+    stats.sat_solve_ns += telemetry.solve_ns;
     stats.sat_sessions += telemetry.sessions;
     stats.session_reuses += telemetry.session_reuses;
     stats.learnts_carried += telemetry.learnts_carried;
@@ -610,6 +611,7 @@ Pipeline::foldStats(const PipelineStats &delta)
     stats_.sat_conflicts += delta.sat_conflicts;
     stats_.sat_propagations += delta.sat_propagations;
     stats_.sat_restarts += delta.sat_restarts;
+    stats_.sat_solve_ns += delta.sat_solve_ns;
     stats_.sat_sessions += delta.sat_sessions;
     stats_.session_reuses += delta.session_reuses;
     stats_.learnts_carried += delta.learnts_carried;

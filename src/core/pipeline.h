@@ -177,6 +177,9 @@ struct PipelineStats
     uint64_t sat_conflicts = 0;
     uint64_t sat_propagations = 0;
     uint64_t sat_restarts = 0;
+    /** Wall time inside SAT solve calls (a timing: it varies run to
+     *  run while every counter above stays fixed). */
+    uint64_t sat_solve_ns = 0;
     /** Incremental-session accounting (see verify::RefinementSession). */
     uint64_t sat_sessions = 0;
     uint64_t session_reuses = 0;

@@ -76,17 +76,26 @@ cacheSummary(uint64_t hits, uint64_t misses)
 std::string
 satStatsLine(const PipelineStats &stats)
 {
-    char line[256];
+    // Rates per second of solving; the counters are deterministic, the
+    // rates are the engine's speed on this host.
+    double solve_s = static_cast<double>(stats.sat_solve_ns) / 1e9;
+    auto perSecond = [&](uint64_t count) {
+        return solve_s > 0 ? static_cast<double>(count) / solve_s : 0.0;
+    };
+    char line[320];
     std::snprintf(
         line, sizeof(line),
         "sat: %llu solves, %llu decisions, %llu conflicts, "
-        "%llu propagations, %llu restarts, %llu learnts carried\n",
+        "%llu propagations, %llu restarts, %llu learnts carried; "
+        "%.0f propagations/s, %.0f conflicts/s over %.3f ms solving\n",
         static_cast<unsigned long long>(stats.sat_solves),
         static_cast<unsigned long long>(stats.sat_decisions),
         static_cast<unsigned long long>(stats.sat_conflicts),
         static_cast<unsigned long long>(stats.sat_propagations),
         static_cast<unsigned long long>(stats.sat_restarts),
-        static_cast<unsigned long long>(stats.learnts_carried));
+        static_cast<unsigned long long>(stats.learnts_carried),
+        perSecond(stats.sat_propagations), perSecond(stats.sat_conflicts),
+        solve_s * 1e3);
     return line;
 }
 
@@ -130,7 +139,8 @@ storeStatsLine(const PipelineStats &stats)
 
 std::string
 profileSummary(const PipelineStats &stats,
-               const telemetry::MetricsSnapshot &metrics)
+               const telemetry::MetricsSnapshot &metrics, unsigned threads,
+               uint64_t wall_ns)
 {
     auto fmt = [](const char *format, double value) {
         char buffer[64];
@@ -155,15 +165,20 @@ profileSummary(const PipelineStats &stats,
         {"patch", t.patch_ns, "phase.patch_ns"},
         {"dce", t.dce_ns, "phase.dce_ns"},
     };
-    // Share is of the phase-accounted time when no module total was
-    // folded (the `run` command drives the pipeline directly, without
-    // the extract/patch/dce envelope).
-    uint64_t accounted = 0;
-    for (const Phase &phase : phases)
-        accounted += phase.total_ns;
-    uint64_t denominator = t.total_ns ? t.total_ns : accounted;
+    // Phases fold per-case times over every worker, so their sum can
+    // reach threads x wall, never more.
+    if (threads == 0)
+        threads = 1;
+    const double capacity_ns =
+        static_cast<double>(threads) * static_cast<double>(wall_ns);
+    auto wallShare = [&](uint64_t ns) {
+        return capacity_ns > 0
+                   ? fmt("%.1f%%",
+                         100.0 * static_cast<double>(ns) / capacity_ns)
+                   : std::string("-");
+    };
 
-    TextTable table({"phase", "total ms", "share", "count", "p50 us",
+    TextTable table({"phase", "cpu ms", "wall share", "count", "p50 us",
                      "p90 us", "p99 us"});
     auto percentiles = [&](const char *name,
                            std::vector<std::string> &row) {
@@ -178,23 +193,24 @@ profileSummary(const PipelineStats &stats,
         for (double q : {0.50, 0.90, 0.99})
             row.push_back(fmt("%.1f", hist->percentile(q) / 1e3));
     };
+    uint64_t accounted = 0;
     for (const Phase &phase : phases) {
-        std::vector<std::string> row{phase.name, ms(phase.total_ns)};
-        row.push_back(
-            denominator
-                ? fmt("%.1f%%", 100.0 *
-                                    static_cast<double>(phase.total_ns) /
-                                    static_cast<double>(denominator))
-                : "-");
+        accounted += phase.total_ns;
+        std::vector<std::string> row{phase.name, ms(phase.total_ns),
+                                     wallShare(phase.total_ns)};
         percentiles(phase.histogram, row);
         table.addRow(std::move(row));
     }
-    std::vector<std::string> total{"total", ms(denominator),
-                                   denominator ? "100.0%" : "-"};
+    std::vector<std::string> total{"total", ms(accounted),
+                                   wallShare(accounted)};
     percentiles("module.latency_ns", total);
     table.addRow(std::move(total));
-    std::string rendered =
-        "profile (wall time per phase):\n" + table.render();
+    char header[160];
+    std::snprintf(header, sizeof(header),
+                  "profile (wall time per phase): %u thread(s), %s ms "
+                  "wall; wall share = cpu ms / (threads x wall)\n",
+                  threads, ms(wall_ns).c_str());
+    std::string rendered = header + table.render();
 
     // Scheduler behaviour behind those phases. Work-done telemetry,
     // not results: steal counts and queue depths vary run to run even

@@ -63,8 +63,9 @@ std::string moduleSummary(const PipelineStats &stats,
 /**
  * The one-line solver work summary backing `lpo run --sat-stats`:
  * decisions / conflicts / propagations / restarts across every SAT
- * verification performed, plus the learnt clauses reused sessions
- * carried into their solves.
+ * verification performed, the learnt clauses reused sessions carried
+ * into their solves, and the engine's speed: propagations and
+ * conflicts per second of solve-call wall time.
  */
 std::string satStatsLine(const PipelineStats &stats);
 
@@ -79,19 +80,21 @@ std::string satStatsLine(const PipelineStats &stats);
 std::string degradationStatsLine(const PipelineStats &stats);
 
 /**
- * The per-phase wall-time table backing `lpo run --profile`: one row
- * per pipeline phase (extract, propose, verify, patch, dce) with its
- * total wall time from PipelineStats::timings, its share of the
- * optimize run, and the p50/p90/p99 per-invocation latency from the
- * matching `phase.*_ns` histogram in @p metrics; the closing total row
- * carries the per-module latency percentiles (module.latency_ns).
- * propose/verify fold per-case times across every worker thread (CPU
- * time, not wall), so their share can exceed 100% on threaded runs.
- * Purely additive — never part of moduleSummary's default output, so
- * existing pinned summaries stay byte-identical.
+ * The per-phase table backing `lpo run --profile`: one row per
+ * pipeline phase (extract, propose, verify, patch, dce) with its
+ * busy time summed over every thread that ran it (`cpu ms`, from
+ * PipelineStats::timings), its wall share, and the p50/p90/p99
+ * per-invocation latency from the matching `phase.*_ns` histogram in
+ * @p metrics; the closing total row carries the per-module latency
+ * percentiles (module.latency_ns). The wall share divides cpu ms by
+ * the capacity of the run, @p threads x @p wall_ns, so no phase can
+ * read above 100% however many workers ran it; "-" when @p wall_ns is
+ * 0. Purely additive — never part of moduleSummary's default output,
+ * so existing pinned summaries stay byte-identical.
  */
 std::string profileSummary(const PipelineStats &stats,
-                           const telemetry::MetricsSnapshot &metrics);
+                           const telemetry::MetricsSnapshot &metrics,
+                           unsigned threads, uint64_t wall_ns);
 
 /**
  * The one-line persistent-store summary backing `lpo run --store` and

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "support/failpoint.h"
 
@@ -37,11 +38,11 @@ int
 SatSolver::newVarImpl(bool decision)
 {
     ++num_vars_;
-    assigns_.push_back(Assign::Unassigned);
-    levels_.push_back(0);
-    reasons_.push_back(-1);
+    values_.push_back(kUndef);
+    values_.push_back(kUndef);
+    vardata_.push_back(VarData{-1, 0});
     activities_.push_back(0.0);
-    polarity_.push_back(false);
+    polarity_.push_back(0);
     decision_.push_back(decision);
     heap_pos_.push_back(-1);
     seen_.push_back(0);
@@ -67,43 +68,46 @@ SatSolver::newActivationVar()
 // ---------------------------------------------------------------------
 
 void
-SatSolver::heapSwap(size_t i, size_t j)
-{
-    std::swap(order_heap_[i], order_heap_[j]);
-    heap_pos_[order_heap_[i]] = static_cast<int>(i);
-    heap_pos_[order_heap_[j]] = static_cast<int>(j);
-}
-
-void
 SatSolver::heapUp(size_t i)
 {
+    int var = order_heap_[i];
     while (i > 0) {
         size_t parent = (i - 1) / 2;
-        if (!heapLess(order_heap_[i], order_heap_[parent]))
+        int above = order_heap_[parent];
+        if (!heapLess(var, above))
             break;
-        heapSwap(i, parent);
+        order_heap_[i] = above;
+        heap_pos_[above] = static_cast<int>(i);
         i = parent;
     }
+    order_heap_[i] = var;
+    heap_pos_[var] = static_cast<int>(i);
 }
 
 void
 SatSolver::heapDown(size_t i)
 {
+    // The better child moves up into the hole while it beats the sifted
+    // variable. heapLess is a strict total order, so this picks exactly
+    // the child the pairwise-swap form picks at every level.
+    int var = order_heap_[i];
+    const size_t size = order_heap_.size();
     for (;;) {
-        size_t left = 2 * i + 1;
-        size_t right = 2 * i + 2;
-        size_t best = i;
-        if (left < order_heap_.size() &&
-            heapLess(order_heap_[left], order_heap_[best]))
-            best = left;
-        if (right < order_heap_.size() &&
-            heapLess(order_heap_[right], order_heap_[best]))
-            best = right;
-        if (best == i)
+        size_t child = 2 * i + 1;
+        if (child >= size)
             break;
-        heapSwap(i, best);
-        i = best;
+        if (child + 1 < size &&
+            heapLess(order_heap_[child + 1], order_heap_[child]))
+            ++child;
+        int below = order_heap_[child];
+        if (!heapLess(below, var))
+            break;
+        order_heap_[i] = below;
+        heap_pos_[below] = static_cast<int>(i);
+        i = child;
     }
+    order_heap_[i] = var;
+    heap_pos_[var] = static_cast<int>(i);
 }
 
 void
@@ -115,55 +119,72 @@ SatSolver::heapInsert(int var)
         return;
     if (heap_pos_[var] != -1)
         return;
-    heap_pos_[var] = static_cast<int>(order_heap_.size());
     order_heap_.push_back(var);
     heapUp(order_heap_.size() - 1);
 }
 
-int
-SatSolver::storeClause(const std::vector<int> &lits, bool learnt,
-                       uint32_t lbd, double activity)
+// ---------------------------------------------------------------------
+// Clause arena
+// ---------------------------------------------------------------------
+
+double
+SatSolver::clauseActivity(int cref) const
 {
-    Clause clause;
-    clause.offset = static_cast<uint32_t>(pool_.size());
-    clause.size = static_cast<uint32_t>(lits.size());
-    clause.learnt = learnt;
-    clause.lbd = lbd;
-    clause.activity = activity;
-    pool_.insert(pool_.end(), lits.begin(), lits.end());
-    clauses_.push_back(clause);
-    return static_cast<int>(clauses_.size()) - 1;
+    double activity;
+    std::memcpy(&activity, &arena_[cref + 2], sizeof(activity));
+    return activity;
 }
 
 void
-SatSolver::attachClause(int index)
+SatSolver::setClauseActivity(int cref, double activity)
 {
-    const Clause &clause = clauses_[index];
-    assert(clause.size >= 2);
-    const int *lits = clauseLits(clause);
+    std::memcpy(&arena_[cref + 2], &activity, sizeof(activity));
+}
+
+int
+SatSolver::storeClause(const int *lits, size_t count, bool learnt,
+                       uint32_t lbd, double activity)
+{
+    static_assert(kHeader * sizeof(int) == 2 * sizeof(int) + sizeof(double),
+                  "header = size word, lbd/learnt word, activity");
+    int cref = static_cast<int>(arena_.size());
+    arena_.resize(arena_.size() + kHeader + count);
+    arena_[cref] = static_cast<int>(count);
+    arena_[cref + 1] = static_cast<int>(lbd << 1 | (learnt ? 1u : 0u));
+    setClauseActivity(cref, activity);
+    std::copy(lits, lits + count, clauseLits(cref));
+    return cref;
+}
+
+void
+SatSolver::attachClause(int cref)
+{
+    int size = clauseSize(cref);
+    assert(size >= 2);
+    const int *lits = clauseLits(cref);
     // Binary clauses carry their other literal in the watcher itself
     // (it can never move), so propagation over them touches no clause
     // memory. Longer clauses use the classic two-watch scheme.
-    int blocker0 = clause.size == 2 ? lits[1] : -1;
-    int blocker1 = clause.size == 2 ? lits[0] : -1;
-    watches_[litNeg(lits[0])].push_back(Watcher{index, blocker0});
-    watches_[litNeg(lits[1])].push_back(Watcher{index, blocker1});
+    int blocker0 = size == 2 ? lits[1] : -1;
+    int blocker1 = size == 2 ? lits[0] : -1;
+    watches_[litNeg(lits[0])].push_back(Watcher{cref, blocker0});
+    watches_[litNeg(lits[1])].push_back(Watcher{cref, blocker1});
 }
 
 bool
-SatSolver::addClause(std::vector<Lit> lits)
+SatSolver::addClause(const Lit *lits, size_t count)
 {
     if (unsat_)
         return false;
-    assert(!lits.empty());
+    assert(count > 0);
     assert(trail_limits_.empty() &&
            "clauses may only be added at decision level 0");
     // Encode, dedup, and drop tautologies.
-    std::vector<int> enc;
-    enc.reserve(lits.size());
-    for (Lit lit : lits) {
-        assert(lit != 0 && std::abs(lit) <= num_vars_);
-        enc.push_back(encode(lit));
+    std::vector<int> &enc = add_scratch_;
+    enc.clear();
+    for (size_t i = 0; i < count; ++i) {
+        assert(lits[i] != 0 && std::abs(lits[i]) <= num_vars_);
+        enc.push_back(encode(lits[i]));
     }
     std::sort(enc.begin(), enc.end());
     enc.erase(std::unique(enc.begin(), enc.end()), enc.end());
@@ -171,104 +192,91 @@ SatSolver::addClause(std::vector<Lit> lits)
         if (litVar(enc[i]) == litVar(enc[i + 1]))
             return true; // tautology: v OR !v
     // Remove literals already false at level 0; satisfied => drop.
-    std::vector<int> pruned;
+    // Clauses only arrive at level 0, so every assigned literal is a
+    // root assignment.
+    size_t kept = 0;
     for (int e : enc) {
-        Assign value = valueOf(e);
-        if (value == Assign::True && levels_[litVar(e)] == 0)
+        int8_t value = valueOf(e);
+        if (value == kTrue)
             return true;
-        if (value == Assign::False && levels_[litVar(e)] == 0)
+        if (value == kFalse)
             continue;
-        pruned.push_back(e);
+        enc[kept++] = e;
     }
-    if (pruned.empty()) {
+    enc.resize(kept);
+    if (enc.empty()) {
         unsat_ = true;
         return false;
     }
-    if (pruned.size() == 1) {
-        ++clauses_added_;
-        if (!enqueue(pruned[0], -1)) {
-            unsat_ = true;
-            return false;
-        }
+    ++clauses_added_;
+    if (enc.size() == 1) {
+        assign(enc[0], -1);
         if (propagate() != -1) {
             unsat_ = true;
             return false;
         }
         return true;
     }
-    ++clauses_added_;
-    int ci = storeClause(pruned, false, 0, 0.0);
-    attachClause(ci);
+    attachClause(storeClause(enc.data(), enc.size(), false, 0, 0.0));
     return true;
 }
 
-bool
-SatSolver::enqueue(int enc, int reason)
-{
-    Assign value = valueOf(enc);
-    if (value != Assign::Unassigned)
-        return value == Assign::True;
-    int var = litVar(enc);
-    assigns_[var] = (enc & 1) ? Assign::False : Assign::True;
-    levels_[var] = static_cast<int>(trail_limits_.size());
-    reasons_[var] = reason;
-    polarity_[var] = !(enc & 1);
-    trail_.push_back(enc);
-    return true;
-}
+// ---------------------------------------------------------------------
+// Search
+// ---------------------------------------------------------------------
 
 int
 SatSolver::propagate()
 {
+    int conflict = -1;
     while (propagate_head_ < trail_.size()) {
         int enc = trail_[propagate_head_++];
         ++propagations_;
+        const int falsified = litNeg(enc);
         std::vector<Watcher> &watch_list = watches_[enc];
-        size_t keep = 0;
-        for (size_t wi = 0; wi < watch_list.size(); ++wi) {
-            Watcher w = watch_list[wi];
-            int falsified = litNeg(enc);
+        Watcher *read = watch_list.data();
+        Watcher *write = read;
+        Watcher *const end = read + watch_list.size();
+        while (read != end) {
+            Watcher w = *read++;
             if (w.blocker != -1) {
                 // Binary fast path: the watcher already names the only
                 // other literal, so satisfied and propagating clauses
                 // are handled without dereferencing the clause.
-                Assign value = valueOf(w.blocker);
-                watch_list[keep++] = w;
-                if (value == Assign::True)
+                *write++ = w;
+                int8_t value = valueOf(w.blocker);
+                if (value == kTrue)
                     continue;
-                if (value == Assign::Unassigned) {
-                    enqueue(w.blocker, w.clause);
+                if (value == kUndef) {
+                    assign(w.blocker, w.clause);
                     continue;
                 }
                 // Conflict. Normalize the stored order (other literal
                 // first, falsified literal second) exactly as the
                 // general path would have left it, so conflict
                 // analysis sees the same literal order either way.
-                Clause &clause = clauses_[w.clause];
-                int *lits = clauseLits(clause);
+                int *lits = clauseLits(w.clause);
                 if (lits[0] == falsified)
                     std::swap(lits[0], lits[1]);
-                for (size_t rest = wi + 1; rest < watch_list.size();
-                     ++rest)
-                    watch_list[keep++] = watch_list[rest];
-                watch_list.resize(keep);
-                propagate_head_ = trail_.size();
-                return w.clause;
+                conflict = w.clause;
+                break;
             }
-            Clause &clause = clauses_[w.clause];
-            int *lits = clauseLits(clause);
+            int *lits = clauseLits(w.clause);
             // Normalize: watched literals are lits[0] and lits[1];
             // the falsified one must be lits[1].
             if (lits[0] == falsified)
                 std::swap(lits[0], lits[1]);
-            if (valueOf(lits[0]) == Assign::True) {
-                watch_list[keep++] = w;
+            int8_t first = valueOf(lits[0]);
+            if (first == kTrue) {
+                *write++ = w;
                 continue;
             }
-            // Find a new watch.
+            // Find a new watch. The new watch literal is not false, so
+            // its list is never the one being walked here.
+            const int size = clauseSize(w.clause);
             bool moved = false;
-            for (uint32_t k = 2; k < clause.size; ++k) {
-                if (valueOf(lits[k]) != Assign::False) {
+            for (int k = 2; k < size; ++k) {
+                if (valueOf(lits[k]) != kFalse) {
                     std::swap(lits[1], lits[k]);
                     watches_[litNeg(lits[1])].push_back(
                         Watcher{w.clause, -1});
@@ -279,18 +287,22 @@ SatSolver::propagate()
             if (moved)
                 continue;
             // Unit or conflict.
-            watch_list[keep++] = w;
-            if (!enqueue(lits[0], w.clause)) {
-                // Conflict: keep remaining watches and report.
-                for (size_t rest = wi + 1; rest < watch_list.size();
-                     ++rest)
-                    watch_list[keep++] = watch_list[rest];
-                watch_list.resize(keep);
-                propagate_head_ = trail_.size();
-                return w.clause;
+            *write++ = w;
+            if (first == kFalse) {
+                conflict = w.clause;
+                break;
             }
+            assign(lits[0], w.clause);
         }
-        watch_list.resize(keep);
+        if (conflict != -1) {
+            // Keep the unvisited watches and report.
+            while (read != end)
+                *write++ = *read++;
+            watch_list.resize(static_cast<size_t>(write - watch_list.data()));
+            propagate_head_ = trail_.size();
+            return conflict;
+        }
+        watch_list.resize(static_cast<size_t>(write - watch_list.data()));
     }
     return -1;
 }
@@ -300,23 +312,29 @@ SatSolver::bumpVar(int var)
 {
     activities_[var] += var_inc_;
     if (activities_[var] > 1e100) {
+        // The heap is not re-sifted after the rescale, whatever the
+        // scaled values now compare as (underflow can make distinct
+        // activities equal); see DESIGN.md on why its layout matters.
         for (double &activity : activities_)
             activity *= 1e-100;
         var_inc_ *= 1e-100;
-        // Uniform rescaling preserves the heap order exactly.
     }
     if (heap_pos_[var] != -1)
         heapUp(static_cast<size_t>(heap_pos_[var]));
 }
 
 void
-SatSolver::bumpClause(Clause &clause)
+SatSolver::bumpClause(int cref)
 {
-    clause.activity += cla_inc_;
-    if (clause.activity > 1e20) {
-        for (Clause &c : clauses_)
-            if (c.learnt)
-                c.activity *= 1e-20;
+    double activity = clauseActivity(cref) + cla_inc_;
+    setClauseActivity(cref, activity);
+    if (activity > 1e20) {
+        for (size_t c = 0; c < arena_.size();
+             c += kHeader + clauseSize(static_cast<int>(c))) {
+            int other = static_cast<int>(c);
+            if (clauseLearnt(other))
+                setClauseActivity(other, clauseActivity(other) * 1e-20);
+        }
         cla_inc_ *= 1e-20;
     }
 }
@@ -345,19 +363,23 @@ SatSolver::litRedundant(int enc, uint32_t abstract_levels,
     while (!redundant_stack_.empty()) {
         int p = redundant_stack_.back();
         redundant_stack_.pop_back();
-        assert(reasons_[litVar(p)] != -1);
-        const Clause &reason = clauses_[reasons_[litVar(p)]];
+        int reason = vardata_[litVar(p)].reason;
+        assert(reason != -1);
         const int *lits = clauseLits(reason);
+        const int size = clauseSize(reason);
         // Skip the literal the clause propagated (@p p itself) by
         // variable; binary reasons from the watcher fast path are not
         // position-normalized, so positional skipping would be wrong.
         int skip_var = litVar(p);
-        for (uint32_t i = 0; i < reason.size; ++i) {
+        for (int i = 0; i < size; ++i) {
             int q = lits[i];
             int var = litVar(q);
-            if (var == skip_var || seen_[var] || levels_[var] == 0)
+            if (var == skip_var || seen_[var])
                 continue;
-            if (reasons_[var] == -1 ||
+            const VarData &data = vardata_[var];
+            if (data.level == 0)
+                continue;
+            if (data.reason == -1 ||
                 !(abstractLevel(var) & abstract_levels)) {
                 for (size_t j = rollback; j < to_clear.size(); ++j)
                     seen_[to_clear[j]] = 0;
@@ -386,28 +408,31 @@ SatSolver::analyze(int conflict, std::vector<int> &learnt, uint32_t *lbd)
     int counter = 0;
     int enc = -1;
     size_t trail_index = trail_.size();
-    int current_level = static_cast<int>(trail_limits_.size());
+    const int current_level = decisionLevel();
 
     int reason_clause = conflict;
     do {
         assert(reason_clause != -1);
-        Clause &clause = clauses_[reason_clause];
-        if (clause.learnt)
-            bumpClause(clause);
-        const int *lits = clauseLits(clause);
+        if (clauseLearnt(reason_clause))
+            bumpClause(reason_clause);
+        const int *lits = clauseLits(reason_clause);
+        const int size = clauseSize(reason_clause);
         // For reason clauses, skip the literal that was propagated
         // (var of @p enc); skipping by variable rather than position
         // keeps this correct for watcher-fast-path binary reasons.
         int skip_var = (enc == -1) ? 0 : litVar(enc);
-        for (uint32_t i = 0; i < clause.size; ++i) {
+        for (int i = 0; i < size; ++i) {
             int q = lits[i];
             int var = litVar(q);
-            if (var == skip_var || seen_[var] || levels_[var] == 0)
+            if (var == skip_var || seen_[var])
+                continue;
+            int level = vardata_[var].level;
+            if (level == 0)
                 continue;
             seen_[var] = 1;
             seen_clear_.push_back(var);
             bumpVar(var);
-            if (levels_[var] >= current_level) {
+            if (level >= current_level) {
                 ++counter;
             } else {
                 learnt.push_back(q);
@@ -419,7 +444,7 @@ SatSolver::analyze(int conflict, std::vector<int> &learnt, uint32_t *lbd)
             enc = trail_[--trail_index];
         } while (!seen_[litVar(enc)]);
         seen_[litVar(enc)] = 0;
-        reason_clause = reasons_[litVar(enc)];
+        reason_clause = vardata_[litVar(enc)].reason;
         --counter;
     } while (counter > 0);
     learnt[0] = litNeg(enc);
@@ -434,7 +459,7 @@ SatSolver::analyze(int conflict, std::vector<int> &learnt, uint32_t *lbd)
         size_t kept = 1;
         for (size_t i = 1; i < learnt.size(); ++i) {
             int var = litVar(learnt[i]);
-            if (reasons_[var] == -1 ||
+            if (vardata_[var].reason == -1 ||
                 !litRedundant(learnt[i], abstract_levels,
                               minimize_clear_))
                 learnt[kept++] = learnt[i];
@@ -446,28 +471,34 @@ SatSolver::analyze(int conflict, std::vector<int> &learnt, uint32_t *lbd)
     // Low-LBD ("glue") clauses connect few levels and are the learnt
     // clauses worth keeping forever.
     if (lbd) {
-        lbd_levels_.clear();
+        ++lbd_stamp_;
+        uint32_t levels = 0;
         for (int q : learnt) {
-            int level = levels_[litVar(q)];
-            bool found = false;
-            for (int s : lbd_levels_)
-                found = found || s == level;
-            if (!found)
-                lbd_levels_.push_back(level);
+            size_t level = static_cast<size_t>(vardata_[litVar(q)].level);
+            if (level >= level_stamps_.size())
+                level_stamps_.resize(level + 1, 0);
+            if (level_stamps_[level] != lbd_stamp_) {
+                level_stamps_[level] = lbd_stamp_;
+                ++levels;
+            }
         }
-        *lbd = static_cast<uint32_t>(lbd_levels_.size());
+        *lbd = levels;
     }
 
     // Compute the backtrack level (second-highest level in clause).
     int bt_level = 0;
     if (learnt.size() > 1) {
         size_t max_i = 1;
-        for (size_t i = 2; i < learnt.size(); ++i)
-            if (levels_[litVar(learnt[i])] >
-                levels_[litVar(learnt[max_i])])
+        int max_level = vardata_[litVar(learnt[1])].level;
+        for (size_t i = 2; i < learnt.size(); ++i) {
+            int level = vardata_[litVar(learnt[i])].level;
+            if (level > max_level) {
                 max_i = i;
+                max_level = level;
+            }
+        }
         std::swap(learnt[1], learnt[max_i]);
-        bt_level = levels_[litVar(learnt[1])];
+        bt_level = max_level;
     }
 
     // Restore the all-zero seen_ invariant (both lists may share
@@ -500,15 +531,16 @@ SatSolver::analyzeFinal(int failed_enc)
         int var = litVar(enc);
         if (!seen_[var])
             continue;
-        if (reasons_[var] == -1) {
-            assert(levels_[var] > 0);
+        int reason = vardata_[var].reason;
+        if (reason == -1) {
+            assert(vardata_[var].level > 0);
             conflict_core_.push_back(decode(enc));
         } else {
-            const Clause &reason = clauses_[reasons_[var]];
             const int *lits = clauseLits(reason);
-            for (uint32_t j = 0; j < reason.size; ++j) {
+            const int size = clauseSize(reason);
+            for (int j = 0; j < size; ++j) {
                 int qvar = litVar(lits[j]);
-                if (qvar != var && levels_[qvar] > 0) {
+                if (qvar != var && vardata_[qvar].level > 0) {
                     seen_[qvar] = 1;
                     seen_clear_.push_back(qvar);
                 }
@@ -526,13 +558,15 @@ SatSolver::analyzeFinal(int failed_enc)
 void
 SatSolver::backtrack(int level)
 {
-    if (static_cast<int>(trail_limits_.size()) <= level)
+    if (decisionLevel() <= level)
         return;
     size_t limit = trail_limits_[level];
     for (size_t i = trail_.size(); i > limit; --i) {
-        int var = litVar(trail_[i - 1]);
-        assigns_[var] = Assign::Unassigned;
-        reasons_[var] = -1;
+        int enc = trail_[i - 1];
+        int var = litVar(enc);
+        values_[enc] = kUndef;
+        values_[enc ^ 1] = kUndef;
+        vardata_[var].reason = -1;
         heapInsert(var);
     }
     trail_.resize(limit);
@@ -545,14 +579,17 @@ SatSolver::pickBranchVar()
 {
     // Pop until an unassigned variable surfaces; assigned entries are
     // discarded (they re-enter the heap when backtracking unassigns
-    // them).
+    // them). The last entry fills the root hole, as in the swap form.
     while (!order_heap_.empty()) {
         int var = order_heap_[0];
-        heapSwap(0, order_heap_.size() - 1);
+        int last = order_heap_.back();
         order_heap_.pop_back();
         heap_pos_[var] = -1;
-        heapDown(0);
-        if (assigns_[var] == Assign::Unassigned)
+        if (!order_heap_.empty()) {
+            order_heap_[0] = last;
+            heapDown(0);
+        }
+        if (valueOf(var * 2) == kUndef)
             return var;
     }
     return -1;
@@ -563,65 +600,87 @@ SatSolver::rebuildWatches()
 {
     for (std::vector<Watcher> &watch_list : watches_)
         watch_list.clear();
-    for (size_t i = 0; i < clauses_.size(); ++i)
-        attachClause(static_cast<int>(i));
+    for (size_t c = 0; c < arena_.size();
+         c += kHeader + clauseSize(static_cast<int>(c)))
+        attachClause(static_cast<int>(c));
+}
+
+template <typename Keep>
+void
+SatSolver::compactArena(Keep keep)
+{
+    // @p keep sees each record in creation order and appends the
+    // literals it keeps to the new arena (after the header slot this
+    // function reserves), or returns false to drop the record.
+    std::vector<int> compacted;
+    compacted.reserve(arena_.size());
+    for (size_t c = 0; c < arena_.size();
+         c += kHeader + clauseSize(static_cast<int>(c))) {
+        int cref = static_cast<int>(c);
+        size_t start = compacted.size();
+        compacted.insert(compacted.end(), arena_.begin() + cref,
+                         arena_.begin() + cref + kHeader);
+        if (!keep(cref, compacted)) {
+            compacted.resize(start);
+            continue;
+        }
+        compacted[start] =
+            static_cast<int>(compacted.size() - start - kHeader);
+    }
+    arena_ = std::move(compacted);
+    // Clause references changed wholesale; rebuild every watch list.
+    rebuildWatches();
 }
 
 void
 SatSolver::reduceLearnts()
 {
     // Called at decision level 0. Level-0 assignments may still carry
-    // clause-index reasons from root propagation; analyze() never
+    // clause reasons from root propagation; analyze() never
     // dereferences level-0 reasons, so they can be cleared before the
-    // indices are invalidated by compaction.
+    // references are invalidated by compaction.
     for (int enc : trail_)
-        reasons_[litVar(enc)] = -1;
+        vardata_[litVar(enc)].reason = -1;
 
     // Rank reducible learnt clauses by activity, ties to the older
-    // (lower-index) clause so the reduction is deterministic; drop the
+    // (lower-cref) clause so the reduction is deterministic; drop the
     // less active half. Binary learnt clauses are cheap to keep and
     // high-value, and glue clauses (LBD <= 2) bridge almost-adjacent
     // decision levels and keep proving useful across incremental
     // calls, so neither is ever dropped.
     std::vector<int> candidates;
-    for (size_t i = 0; i < clauses_.size(); ++i)
-        if (clauses_[i].learnt && clauses_[i].size > 2 &&
-            clauses_[i].lbd > 2)
-            candidates.push_back(static_cast<int>(i));
+    for (size_t c = 0; c < arena_.size();
+         c += kHeader + clauseSize(static_cast<int>(c))) {
+        int cref = static_cast<int>(c);
+        if (clauseLearnt(cref) && clauseSize(cref) > 2 &&
+            clauseLbd(cref) > 2)
+            candidates.push_back(cref);
+    }
     if (candidates.size() < 2)
         return;
     std::sort(candidates.begin(), candidates.end(), [&](int a, int b) {
-        if (clauses_[a].activity != clauses_[b].activity)
-            return clauses_[a].activity > clauses_[b].activity;
+        double activity_a = clauseActivity(a);
+        double activity_b = clauseActivity(b);
+        if (activity_a != activity_b)
+            return activity_a > activity_b;
         return a < b;
     });
-    std::vector<bool> drop(clauses_.size(), false);
-    for (size_t i = candidates.size() / 2; i < candidates.size(); ++i)
-        drop[candidates[i]] = true;
-
-    // Compact headers and the literal arena together.
-    std::vector<Clause> kept;
-    kept.reserve(clauses_.size());
-    std::vector<int> new_pool;
-    new_pool.reserve(pool_.size());
-    for (size_t i = 0; i < clauses_.size(); ++i) {
-        if (drop[i])
-            continue;
-        Clause clause = clauses_[i];
-        const int *lits = clauseLits(clause);
-        uint32_t offset = static_cast<uint32_t>(new_pool.size());
-        new_pool.insert(new_pool.end(), lits, lits + clause.size);
-        clause.offset = offset;
-        kept.push_back(clause);
-    }
-    uint64_t removed = clauses_.size() - kept.size();
-    clauses_ = std::move(kept);
-    pool_ = std::move(new_pool);
-    learnts_removed_ += removed;
-    num_learnts_ -= removed;
-
-    // Clause indices changed wholesale; rebuild every watch list.
-    rebuildWatches();
+    // Walk the victims in arena order alongside the compaction.
+    std::vector<int> victims(candidates.begin() + candidates.size() / 2,
+                             candidates.end());
+    std::sort(victims.begin(), victims.end());
+    size_t next_victim = 0;
+    compactArena([&](int cref, std::vector<int> &out) {
+        if (next_victim < victims.size() && victims[next_victim] == cref) {
+            ++next_victim;
+            return false;
+        }
+        const int *lits = clauseLits(cref);
+        out.insert(out.end(), lits, lits + clauseSize(cref));
+        return true;
+    });
+    learnts_removed_ += victims.size();
+    num_learnts_ -= victims.size();
 }
 
 void
@@ -635,52 +694,37 @@ SatSolver::simplifyAtRoot()
         return;
     }
     for (int enc : trail_)
-        reasons_[litVar(enc)] = -1;
+        vardata_[litVar(enc)].reason = -1;
 
     // Root assignments are permanent, so clauses they satisfy are
     // dead weight (this is how released activation groups and the
     // learnt clauses they tainted get reclaimed) and false literals
     // can be stripped in place. After a clean root propagation no
     // surviving clause can have fewer than two free literals.
-    std::vector<Clause> kept;
-    kept.reserve(clauses_.size());
-    std::vector<int> new_pool;
-    new_pool.reserve(pool_.size());
     uint64_t removed_learnts = 0;
     uint64_t removed_total = 0;
-    for (const Clause &clause : clauses_) {
-        const int *lits = clauseLits(clause);
-        bool satisfied = false;
-        size_t start = new_pool.size();
-        for (uint32_t k = 0; k < clause.size; ++k) {
-            Assign value = valueOf(lits[k]);
-            if (value == Assign::True) {
-                satisfied = true;
-                break;
+    compactArena([&](int cref, std::vector<int> &out) {
+        const int *lits = clauseLits(cref);
+        const int size = clauseSize(cref);
+        size_t start = out.size();
+        for (int k = 0; k < size; ++k) {
+            int8_t value = valueOf(lits[k]);
+            if (value == kTrue) {
+                ++removed_total;
+                if (clauseLearnt(cref))
+                    ++removed_learnts;
+                return false;
             }
-            if (value == Assign::False)
-                continue;
-            new_pool.push_back(lits[k]);
+            if (value == kUndef)
+                out.push_back(lits[k]);
         }
-        if (satisfied) {
-            new_pool.resize(start);
-            ++removed_total;
-            if (clause.learnt)
-                ++removed_learnts;
-            continue;
-        }
-        assert(new_pool.size() - start >= 2 &&
+        assert(out.size() - start >= 2 &&
                "unit/empty clause survived root propagation");
-        Clause stripped = clause;
-        stripped.offset = static_cast<uint32_t>(start);
-        stripped.size = static_cast<uint32_t>(new_pool.size() - start);
-        kept.push_back(stripped);
-    }
-    clauses_ = std::move(kept);
-    pool_ = std::move(new_pool);
+        (void)start;
+        return true;
+    });
     num_learnts_ -= removed_learnts;
     clauses_reclaimed_ += removed_total;
-    rebuildWatches();
 }
 
 void
@@ -701,12 +745,6 @@ SatSolver::releaseVar(int var)
     simplifyAtRoot();
 }
 
-void
-SatSolver::snapshotModel()
-{
-    model_ = assigns_;
-}
-
 SatResult
 SatSolver::solve(uint64_t conflict_budget)
 {
@@ -723,11 +761,10 @@ SatSolver::solveAssuming(const std::vector<Lit> &assumptions,
         return SatResult::Unknown;
     // Encode before clearing the core: callers may legitimately pass
     // unsatCore() itself back in (core-guided retries).
-    std::vector<int> assumption_encs;
-    assumption_encs.reserve(assumptions.size());
+    assumption_encs_.clear();
     for (Lit lit : assumptions) {
         assert(lit != 0 && std::abs(lit) <= num_vars_);
-        assumption_encs.push_back(encode(lit));
+        assumption_encs_.push_back(encode(lit));
     }
     conflict_core_.clear();
     if (unsat_)
@@ -770,18 +807,18 @@ SatSolver::solveAssuming(const std::vector<Lit> &assumptions,
             int bt_level = analyze(conflict, learnt_scratch_, &lbd);
             backtrack(bt_level);
             if (learnt_scratch_.size() == 1) {
-                if (!enqueue(learnt_scratch_[0], -1)) {
-                    unsat_ = true;
-                    return SatResult::Unsat;
-                }
+                // Asserting at level 0 after the backjump, so the
+                // literal is unassigned.
+                assign(learnt_scratch_[0], -1);
             } else {
-                int ci = storeClause(learnt_scratch_, true, lbd,
-                                     cla_inc_);
+                int cref = storeClause(learnt_scratch_.data(),
+                                       learnt_scratch_.size(), true, lbd,
+                                       cla_inc_);
                 ++num_learnts_;
-                attachClause(ci);
-                bool ok = enqueue(learnt_scratch_[0], ci);
-                assert(ok && "learnt clause must be asserting");
-                (void)ok;
+                attachClause(cref);
+                assert(valueOf(learnt_scratch_[0]) == kUndef &&
+                       "learnt clause must be asserting");
+                assign(learnt_scratch_[0], cref);
             }
             decayActivities();
         } else {
@@ -803,17 +840,17 @@ SatSolver::solveAssuming(const std::vector<Lit> &assumptions,
             // is pinned to an assumption (re-established after each
             // restart or deep backjump before any free decision).
             int next_assumption = -1;
-            while (trail_limits_.size() < assumption_encs.size()) {
-                int a = assumption_encs[trail_limits_.size()];
-                Assign value = valueOf(a);
-                if (value == Assign::True) {
+            while (trail_limits_.size() < assumption_encs_.size()) {
+                int a = assumption_encs_[trail_limits_.size()];
+                int8_t value = valueOf(a);
+                if (value == kTrue) {
                     // Already implied: open an empty pseudo-level so
                     // assumption index i always lives at level i+1.
                     trail_limits_.push_back(
                         static_cast<int>(trail_.size()));
                     continue;
                 }
-                if (value == Assign::False) {
+                if (value == kFalse) {
                     // The formula refutes this assumption given the
                     // earlier ones: extract the final conflict. The
                     // solver itself stays consistent.
@@ -826,18 +863,18 @@ SatSolver::solveAssuming(const std::vector<Lit> &assumptions,
             }
             if (next_assumption != -1) {
                 trail_limits_.push_back(static_cast<int>(trail_.size()));
-                enqueue(next_assumption, -1);
+                assign(next_assumption, -1);
                 continue;
             }
             int var = pickBranchVar();
             if (var == -1) {
-                snapshotModel();
+                model_ = values_;
                 backtrack(0);
                 return SatResult::Sat;
             }
             ++decisions_;
             trail_limits_.push_back(static_cast<int>(trail_.size()));
-            enqueue(var * 2 + (polarity_[var] ? 0 : 1), -1);
+            assign(var * 2 + (polarity_[var] ? 0 : 1), -1);
         }
     }
 }
@@ -846,9 +883,9 @@ bool
 SatSolver::modelValue(int var) const
 {
     assert(var >= 1 && var <= num_vars_);
-    assert(static_cast<size_t>(var) < model_.size() &&
+    assert(static_cast<size_t>(var) * 2 < model_.size() &&
            "modelValue requires a preceding Sat answer");
-    return model_[var] == Assign::True;
+    return model_[static_cast<size_t>(var) * 2] == kTrue;
 }
 
 } // namespace lpo::smt

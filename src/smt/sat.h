@@ -21,13 +21,20 @@
  * clauses survive into the next call. See DESIGN.md, "Incremental SAT
  * sessions".
  *
- * Storage layout: clause literals live in one flat arena (`pool_`)
- * indexed by small fixed-size headers, and each watch entry carries a
- * blocker slot so binary clauses propagate without touching clause
- * memory at all. Both are pure representation changes — the search
- * trajectory (decisions, conflicts, learnt clauses, models) is
- * bit-identical to the boxed-vector layout, which is what keeps
- * verdicts and counterexamples stable across releases.
+ * Storage layout: each clause is one contiguous record in a flat arena
+ * (`arena_`) — a four-word header (size, learnt flag and LBD, activity)
+ * followed by its literals — addressed by its arena offset, so the
+ * propagate loop touches one cache line per visited clause. Literal
+ * values live in a per-literal table read with a single load; watch
+ * entries carry a blocker slot so binary clauses propagate without
+ * touching clause memory at all; the decision heap sifts with a hole
+ * instead of pairwise swaps. All of these are representation changes
+ * only: the search trajectory (every decision, propagation order,
+ * learnt clause and its literal order, restart, reduction and model)
+ * stays bit-identical across them, which is what keeps verdicts,
+ * counterexamples and conflict counts stable across releases. DESIGN.md, "SAT engine layout and the trajectory
+ * invariant", lists what may and may not change;
+ * SatTest.SearchTrajectoryIsPinned pins it.
  */
 #ifndef LPO_SMT_SAT_H
 #define LPO_SMT_SAT_H
@@ -57,14 +64,14 @@ class SatSolver
     SatSolver()
     {
         // Variables are 1-based; reserve the dummy slot 0.
-        assigns_.push_back(Assign::Unassigned);
-        levels_.push_back(0);
-        reasons_.push_back(-1);
+        values_.assign(2, kUndef);
+        vardata_.push_back(VarData{-1, 0});
         activities_.push_back(0.0);
-        polarity_.push_back(false);
-        decision_.push_back(false);
+        polarity_.push_back(0);
+        decision_.push_back(0);
         heap_pos_.push_back(-1);
         seen_.push_back(0);
+        watches_.resize(2);
     }
 
     /** Allocate and return a fresh variable (1-based). */
@@ -95,10 +102,21 @@ class SatSolver
      * Add a clause (non-empty literals over existing vars).
      * Returns false if the formula is already trivially unsat.
      */
-    bool addClause(std::vector<Lit> lits);
-    bool addUnit(Lit a) { return addClause({a}); }
-    bool addBinary(Lit a, Lit b) { return addClause({a, b}); }
-    bool addTernary(Lit a, Lit b, Lit c) { return addClause({a, b, c}); }
+    bool addClause(const std::vector<Lit> &lits)
+    {
+        return addClause(lits.data(), lits.size());
+    }
+    bool addUnit(Lit a) { return addClause(&a, 1); }
+    bool addBinary(Lit a, Lit b)
+    {
+        const Lit lits[] = {a, b};
+        return addClause(lits, 2);
+    }
+    bool addTernary(Lit a, Lit b, Lit c)
+    {
+        const Lit lits[] = {a, b, c};
+        return addClause(lits, 3);
+    }
 
     /**
      * Solve the current formula.
@@ -186,19 +204,15 @@ class SatSolver
     static int litNeg(int enc) { return enc ^ 1; }
 
     /**
-     * Clause header. Literals live in the shared arena @ref pool_ at
-     * [offset, offset+size); headers stay contiguous so the propagate
-     * loop walks two dense arrays instead of chasing per-clause heap
-     * allocations.
+     * Clause records in @ref arena_: kHeader words of header, then the
+     * literals. A clause is named by the arena offset of its header
+     * (a "cref"); compaction keeps records in creation order, so cref
+     * order is age order, exactly as a clause index would be.
+     *   word 0: literal count
+     *   word 1: lbd << 1 | learnt
+     *   words 2-3: activity (a double, read and written via memcpy)
      */
-    struct Clause
-    {
-        uint32_t offset = 0;
-        uint32_t size = 0;
-        bool learnt = false;
-        uint32_t lbd = 0; ///< literal-block distance at learning time
-        double activity = 0.0;
-    };
+    static constexpr int kHeader = 4;
 
     /**
      * One watch-list entry. For binary clauses @ref blocker holds the
@@ -213,73 +227,99 @@ class SatSolver
         int blocker;
     };
 
-    enum class Assign : int8_t { Unassigned = -1, False = 0, True = 1 };
+    /** Per-literal value; both polarities are written on assignment. */
+    enum Value : int8_t { kFalse = -1, kUndef = 0, kTrue = 1 };
 
-    Assign valueOf(int enc) const
+    /** Per-variable search state that conflict analysis reads
+     *  together. */
+    struct VarData
     {
-        Assign a = assigns_[litVar(enc)];
-        if (a == Assign::Unassigned)
-            return a;
-        bool val = (a == Assign::True) != (enc & 1);
-        return val ? Assign::True : Assign::False;
+        int reason; ///< cref of the implying clause, or -1
+        int level;
+    };
+
+    int8_t valueOf(int enc) const { return values_[enc]; }
+
+    int clauseSize(int cref) const { return arena_[cref]; }
+    bool clauseLearnt(int cref) const { return arena_[cref + 1] & 1; }
+    uint32_t clauseLbd(int cref) const
+    {
+        return static_cast<uint32_t>(arena_[cref + 1]) >> 1;
+    }
+    double clauseActivity(int cref) const;
+    void setClauseActivity(int cref, double activity);
+    int *clauseLits(int cref) { return arena_.data() + cref + kHeader; }
+    const int *clauseLits(int cref) const
+    {
+        return arena_.data() + cref + kHeader;
     }
 
-    int *clauseLits(const Clause &c) { return pool_.data() + c.offset; }
-    const int *clauseLits(const Clause &c) const
+    int decisionLevel() const
     {
-        return pool_.data() + c.offset;
+        return static_cast<int>(trail_limits_.size());
+    }
+    /** Make @p enc true at the current level; it must be unassigned. */
+    void assign(int enc, int reason)
+    {
+        values_[enc] = kTrue;
+        values_[enc ^ 1] = kFalse;
+        int var = litVar(enc);
+        vardata_[var] = VarData{reason, decisionLevel()};
+        polarity_[var] = !(enc & 1);
+        trail_.push_back(enc);
     }
 
+    bool addClause(const Lit *lits, size_t count);
     int newVarImpl(bool decision);
-    bool enqueue(int enc, int reason);
-    int propagate(); // returns conflicting clause index or -1
+    int propagate(); // returns conflicting cref or -1
     int analyze(int conflict, std::vector<int> &learnt, uint32_t *lbd);
     bool litRedundant(int enc, uint32_t abstract_levels,
                       std::vector<int> &to_clear);
     void analyzeFinal(int failed_enc);
     void backtrack(int level);
     void bumpVar(int var);
-    void bumpClause(Clause &clause);
+    void bumpClause(int cref);
     void decayActivities();
     int pickBranchVar();
-    int storeClause(const std::vector<int> &lits, bool learnt,
+    int storeClause(const int *lits, size_t count, bool learnt,
                     uint32_t lbd, double activity);
-    void attachClause(int index);
+    void attachClause(int cref);
     void reduceLearnts();
+    /** Copy the records @p keep accepts into a fresh arena (creation
+     *  order preserved) and rebuild every watch list. */
+    template <typename Keep> void compactArena(Keep keep);
     /** Root-level clause sweep: drop satisfied clauses, strip false
      *  literals, rebuild watches. Requires decision level 0. */
     void simplifyAtRoot();
     void rebuildWatches();
-    void snapshotModel();
 
     uint32_t abstractLevel(int var) const
     {
-        return uint32_t(1) << (levels_[var] & 31);
+        return uint32_t(1) << (vardata_[var].level & 31);
     }
 
     // Decision-order heap (max-heap on activity, ties to the lower
-    // variable index so the order is fully deterministic).
+    // variable index so the order is fully deterministic). Sifts move
+    // a hole instead of swapping pairwise; they perform the same
+    // comparisons and leave the same layout as the swap form.
     bool heapLess(int a, int b) const
     {
         return activities_[a] > activities_[b] ||
                (activities_[a] == activities_[b] && a < b);
     }
-    void heapSwap(size_t i, size_t j);
     void heapUp(size_t i);
     void heapDown(size_t i);
     void heapInsert(int var);
 
     int num_vars_ = 0;
-    std::vector<Clause> clauses_;
-    std::vector<int> pool_;                  // all clause literals
+    std::vector<int> arena_;                    // clause records
     std::vector<std::vector<Watcher>> watches_; // enc-lit -> watchers
-    std::vector<Assign> assigns_;           // per var
-    std::vector<Assign> model_;             // snapshot of the last Sat
-    std::vector<int> levels_;               // per var
-    std::vector<int> reasons_;              // per var, clause index or -1
+    std::vector<int8_t> values_;            // per encoded literal
+    std::vector<int8_t> model_;             // values_ of the last Sat
+    std::vector<VarData> vardata_;          // per var
     std::vector<double> activities_;        // per var
-    std::vector<bool> polarity_;            // per var, phase saving
-    std::vector<bool> decision_;            // per var, heap-eligible
+    std::vector<uint8_t> polarity_;         // per var, phase saving
+    std::vector<uint8_t> decision_;         // per var, heap-eligible
     std::vector<int> order_heap_;           // vars, heap-ordered
     std::vector<int> heap_pos_;             // var -> index or -1
     std::vector<int> trail_;                // encoded lits
@@ -294,16 +334,21 @@ class SatSolver
     bool unsat_ = false;
     const std::atomic<bool> *interrupt_ = nullptr;
 
-    // Scratch state reused across conflicts so the hot loop never
-    // allocates: the conflict-analysis marker array (cleared back to
-    // zero via seen_clear_ after every use — never re-zeroed in bulk),
-    // the litRedundant DFS stack, and the learnt-clause buffers.
+    // Scratch state reused across calls so neither the hot loop nor
+    // clause addition allocates: the conflict-analysis marker array
+    // (cleared back to zero via seen_clear_ after every use — never
+    // re-zeroed in bulk), the litRedundant DFS stack, the learnt-clause
+    // buffers, the per-level stamps that count a clause's LBD, and the
+    // addClause/solveAssuming literal buffers.
     std::vector<uint8_t> seen_;             // per var
     std::vector<int> seen_clear_;           // vars with seen_ set
     std::vector<int> redundant_stack_;
     std::vector<int> learnt_scratch_;
     std::vector<int> minimize_clear_;
-    std::vector<int> lbd_levels_;
+    std::vector<uint64_t> level_stamps_;    // per level, last LBD pass
+    uint64_t lbd_stamp_ = 0;
+    std::vector<int> add_scratch_;
+    std::vector<int> assumption_encs_;
 
     uint64_t conflicts_ = 0;
     uint64_t decisions_ = 0;

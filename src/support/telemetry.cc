@@ -129,13 +129,15 @@ void
 MetricsRegistry::retireShard(Shard *shard)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    // Histogram max slots fold by max, everything else by wrapping
-    // sum — mirroring the snapshot fold, so a shard retired at thread
-    // exit is indistinguishable from one still live.
+    // Histogram max and min slots fold by max, everything else by
+    // wrapping sum — mirroring the snapshot fold, so a shard retired
+    // at thread exit is indistinguishable from one still live.
     std::vector<bool> is_max_slot(next_slot_, false);
     for (const auto &[name, info] : metrics_)
-        if (info.kind == Kind::Histogram)
-            is_max_slot[info.slot + kHistogramBuckets + 1] = true;
+        if (info.kind == Kind::Histogram) {
+            is_max_slot[info.slot + kHistogramMaxSlot] = true;
+            is_max_slot[info.slot + kHistogramMinSlot] = true;
+        }
     for (uint32_t i = 0; i < next_slot_; ++i) {
         uint64_t v = shard->cells[i].load(std::memory_order_relaxed);
         if (!v)
@@ -208,7 +210,7 @@ MetricsRegistry::histogram(std::string_view name)
         return Histogram(this, it->second.slot);
     }
     return Histogram(this, allocateSlots(name, Kind::Histogram,
-                                         kHistogramBuckets + 2));
+                                         kHistogramSlots));
 }
 
 void
@@ -255,15 +257,18 @@ MetricsRegistry::snapshot() const
                     h.buckets[i] = totals[info.slot + i];
                     h.count += h.buckets[i];
                 }
-                h.sum = totals[info.slot + kHistogramBuckets];
-                uint32_t max_slot = info.slot + kHistogramBuckets + 1;
-                uint64_t max = retired_->cells[max_slot].load(
-                    std::memory_order_relaxed);
-                for (const auto &shard : shards_)
-                    max = std::max(max,
-                                   shard->cells[max_slot].load(
-                                       std::memory_order_relaxed));
-                h.max = max;
+                h.sum = totals[info.slot + kHistogramSumSlot];
+                auto fold_max = [&](uint32_t slot) {
+                    uint64_t max = retired_->cells[slot].load(
+                        std::memory_order_relaxed);
+                    for (const auto &shard : shards_)
+                        max = std::max(max, shard->cells[slot].load(
+                                                std::memory_order_relaxed));
+                    return max;
+                };
+                h.max = fold_max(info.slot + kHistogramMaxSlot);
+                h.min = h.count ? ~fold_max(info.slot + kHistogramMinSlot)
+                                : 0;
                 snap.histograms.push_back(std::move(h));
                 break;
             }
@@ -320,15 +325,17 @@ Histogram::record(uint64_t value) const
         bounds.begin());
     auto &cells = registry_->localShard().cells;
     cells[slot_ + bucket].fetch_add(1, std::memory_order_relaxed);
-    cells[slot_ + kHistogramBuckets].fetch_add(
-        value, std::memory_order_relaxed);
-    std::atomic<uint64_t> &max_cell =
-        cells[slot_ + kHistogramBuckets + 1];
-    uint64_t seen = max_cell.load(std::memory_order_relaxed);
-    while (value > seen &&
-           !max_cell.compare_exchange_weak(seen, value,
+    cells[slot_ + kHistogramSumSlot].fetch_add(value,
+                                               std::memory_order_relaxed);
+    auto raise = [](std::atomic<uint64_t> &cell, uint64_t v) {
+        uint64_t seen = cell.load(std::memory_order_relaxed);
+        while (v > seen &&
+               !cell.compare_exchange_weak(seen, v,
                                            std::memory_order_relaxed))
-        ;
+            ;
+    };
+    raise(cells[slot_ + kHistogramMaxSlot], value);
+    raise(cells[slot_ + kHistogramMinSlot], ~value);
 }
 
 double
@@ -353,7 +360,12 @@ HistogramSnapshot::percentile(double q) const
                           static_cast<double>(buckets[i]);
             if (frac < 0)
                 frac = 0;
-            return lo + (hi - lo) * frac;
+            // Interpolation assumes samples spread over the whole
+            // bucket; the observed extremes bound where they really
+            // are (a single sample is exactly its own percentile).
+            return std::clamp(lo + (hi - lo) * frac,
+                              static_cast<double>(min),
+                              static_cast<double>(max));
         }
         cumulative = next;
     }
@@ -404,6 +416,7 @@ MetricsSnapshot::toJson() const
         w.field("count", h.count);
         w.field("sum", h.sum);
         w.field("max", h.max);
+        w.field("min", h.min);
         w.field("p50", h.p50(), 1);
         w.field("p90", h.p90(), 1);
         w.field("p99", h.p99(), 1);

@@ -21,8 +21,8 @@
  *
  * Histograms use fixed 1-2-5 decade bucket bounds (1ns .. 1e11ns
  * ~100s, plus overflow) so two histograms are always mergeable and
- * percentiles (p50/p90/p99, linearly interpolated within a bucket)
- * need no per-sample storage.
+ * percentiles (p50/p90/p99, linearly interpolated within a bucket and
+ * clamped to the observed [min, max]) need no per-sample storage.
  *
  * The JSON export (`metrics.lpo.json`) renders through
  * core::JsonWriter. External subsystems that keep their own atomic
@@ -50,6 +50,16 @@ namespace lpo::telemetry {
 /** Upper bucket bounds (inclusive), 1-2-5 series; last is +inf. */
 inline constexpr size_t kHistogramBuckets = 35;
 const std::array<uint64_t, kHistogramBuckets - 1> &histogramBounds();
+/**
+ * Cells per histogram: the buckets, then the sum, the max, and the
+ * min. The min cell holds the bitwise complement of the smallest
+ * sample, so it folds by max exactly like the max cell and an
+ * untouched (zero) cell means "no sample".
+ */
+inline constexpr size_t kHistogramSumSlot = kHistogramBuckets;
+inline constexpr size_t kHistogramMaxSlot = kHistogramBuckets + 1;
+inline constexpr size_t kHistogramMinSlot = kHistogramBuckets + 2;
+inline constexpr size_t kHistogramSlots = kHistogramBuckets + 3;
 
 class MetricsRegistry;
 
@@ -92,7 +102,7 @@ class Gauge
     uint32_t slot_ = 0;
 };
 
-/** Handle to a histogram (buckets + sum + max slots). */
+/** Handle to a histogram (buckets + sum + max + min slots). */
 class Histogram
 {
   public:
@@ -107,7 +117,7 @@ class Histogram
         : registry_(registry), slot_(slot)
     {}
     MetricsRegistry *registry_ = nullptr;
-    uint32_t slot_ = 0; ///< first of kHistogramBuckets + 2 slots
+    uint32_t slot_ = 0; ///< first of kHistogramSlots slots
 };
 
 struct HistogramSnapshot
@@ -116,12 +126,15 @@ struct HistogramSnapshot
     uint64_t count = 0;
     uint64_t sum = 0;
     uint64_t max = 0;
+    uint64_t min = 0; ///< smallest sample; 0 when empty
     std::array<uint64_t, kHistogramBuckets> buckets{};
 
     /**
      * Quantile in [0, 1], linearly interpolated within the owning
-     * bucket (overflow bucket interpolates toward the observed max).
-     * Deterministic given deterministic counts. 0 when empty.
+     * bucket (overflow bucket interpolates toward the observed max)
+     * and clamped to the observed [min, max], so no percentile can
+     * name a value no sample reached. Deterministic given
+     * deterministic counts. 0 when empty.
      */
     double percentile(double q) const;
     double p50() const { return percentile(0.50); }

@@ -267,6 +267,7 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
         if (solves_run > 0 && options.degradation)
             ++options.degradation->escalations;
         uint64_t conflicts_before = solver.conflicts();
+        uint64_t start_ns = telemetry::nowNanos();
         {
             LPO_TRACE_SPAN(span, "solve", "sat");
             telemetry::ScopedTimer timer(solveHistogram());
@@ -275,6 +276,9 @@ checkWithSat(const ir::Function &src, const ir::Function &tgt,
                 span.arg("conflicts",
                          solver.conflicts() - conflicts_before);
         }
+        if (options.sat_telemetry)
+            options.sat_telemetry->solve_ns +=
+                telemetry::nowNanos() - start_ns;
         conflictsPerSolveHistogram().record(solver.conflicts() -
                                             conflicts_before);
         ++solves_run;
@@ -829,6 +833,9 @@ struct RefinementSession::Impl
     int src_vars = 0;
     uint64_t src_clauses = 0;
     uint64_t checks = 0;
+    /** Selector of the previous candidate, retired at the start of the
+     *  next SAT check (0 = none pending). */
+    int pending_release = 0;
 
     Impl(const ir::Function &src_fn, const RefineOptions &opts)
         : src(src_fn), options(opts),
@@ -837,6 +844,7 @@ struct RefinementSession::Impl
     {}
 
     void initialize();
+    void releasePending();
     RefinementResult dispatch(const ir::Function &tgt,
                               CachedVerdict *cached);
 };
@@ -859,11 +867,32 @@ RefinementSession::Impl::initialize()
         ++options.sat_telemetry->sessions;
 }
 
+void
+RefinementSession::Impl::releasePending()
+{
+    // Retiring a candidate's selector sweeps the whole clause database
+    // (releaseVar), so it is deferred from the end of that candidate's
+    // check to the start of the next solver use. The sweep runs at the
+    // same point of the solver's history either way — after the last
+    // solve and before any later clause or solve — so the search
+    // trajectory is unchanged; a session that sees one SAT candidate
+    // (the pipeline's common case) never pays for it.
+    if (pending_release == 0)
+        return;
+    solver.releaseVar(pending_release);
+    pending_release = 0;
+    if (solver.inconsistent())
+        dead = true; // cannot happen for well-formed encodings
+}
+
 RefinementResult
 RefinementSession::Impl::dispatch(const ir::Function &tgt,
                                   CachedVerdict *cached)
 {
-    if (!sat_possible || dead || !usesSatBackend(src, tgt))
+    if (!sat_possible || !usesSatBackend(src, tgt))
+        return dispatchBackends(src, tgt, options, cached);
+    releasePending();
+    if (dead)
         return dispatchBackends(src, tgt, options, cached);
     if (!initialized) {
         // A throw mid-initialize (the injected bitblast.throw site, or
@@ -906,9 +935,9 @@ RefinementSession::Impl::dispatch(const ir::Function &tgt,
             refinementViolation(*builder, *src_enc, *tgt_enc);
 
         // Guard the miter behind a fresh selector: assuming it
-        // activates this candidate's query; releasing it afterwards
-        // retires the query and reclaims its clauses while keeping
-        // every selector-free learnt clause for the next candidate.
+        // activates this candidate's query; releasing it (before the
+        // next candidate) retires the query and reclaims its clauses
+        // while keeping every selector-free learnt clause.
         act = solver.newActivationVar();
         builder->requireImplies(act, violation);
     }
@@ -926,6 +955,7 @@ RefinementSession::Impl::dispatch(const ir::Function &tgt,
         uint64_t conflicts_before = solver.conflicts();
         uint64_t propagations_before = solver.propagations();
         uint64_t restarts_before = solver.restarts();
+        uint64_t start_ns = telemetry::nowNanos();
         {
             LPO_TRACE_SPAN(span, "solve", "sat");
             telemetry::ScopedTimer timer(solveHistogram());
@@ -934,6 +964,7 @@ RefinementSession::Impl::dispatch(const ir::Function &tgt,
                 span.arg("conflicts",
                          solver.conflicts() - conflicts_before);
         }
+        uint64_t solve_ns = telemetry::nowNanos() - start_ns;
         conflictsPerSolveHistogram().record(solver.conflicts() -
                                             conflicts_before);
         ++solves_run;
@@ -944,13 +975,12 @@ RefinementSession::Impl::dispatch(const ir::Function &tgt,
             telemetry->propagations +=
                 solver.propagations() - propagations_before;
             telemetry->restarts += solver.restarts() - restarts_before;
+            telemetry->solve_ns += solve_ns;
         }
         if (sat != SatResult::Unknown)
             break;
     }
-    solver.releaseVar(act);
-    if (solver.inconsistent())
-        dead = true; // cannot happen for well-formed encodings
+    pending_release = act;
 
     if (sat == SatResult::Unsat) {
         RefinementResult result;

@@ -49,6 +49,9 @@ struct SatTelemetry
     uint64_t conflicts = 0;
     uint64_t propagations = 0;
     uint64_t restarts = 0;
+    /** Wall time inside solve calls: the denominator of the engine's
+     *  propagations/s and conflicts/s. Timing, not a result. */
+    uint64_t solve_ns = 0;
     // Incremental-session accounting.
     uint64_t sessions = 0;         ///< sessions that bit-blasted a source
     uint64_t session_reuses = 0;   ///< session checks after the first
@@ -206,7 +209,9 @@ RefinementResult checkRefinement(const ir::Function &src,
  * CircuitBuilder unique table, so subcircuits shared with the source
  * or with earlier candidates cost nothing), guards the refinement
  * miter behind a fresh activation literal, solves under that single
- * assumption, and releases the literal afterwards. Candidate N+1
+ * assumption, and releases the literal before the next candidate's
+ * clauses (a session that sees one candidate never pays for the
+ * release's clause-database sweep). Candidate N+1
  * therefore inherits every variable, clause, and selector-free learnt
  * clause from candidates 1..N.
  *

@@ -4,12 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
+#include <string>
+#include <vector>
 
+#include "ir/parser.h"
+#include "smt/bitblast.h"
 #include "smt/sat.h"
 #include "support/rng.h"
+#include "verify/encoder.h"
+#include "verify/refine.h"
 
+using namespace lpo;
 using namespace lpo::smt;
-using lpo::Rng;
 
 TEST(SatTest, TrivialSatAndUnsat)
 {
@@ -236,3 +243,232 @@ TEST_P(SatFuzzProperty, AgreesWithBruteForce)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatFuzzProperty,
                          testing::Values(1, 2, 3, 4, 5));
+
+// ---------------------------------------------------------------------
+// Search-trajectory pin
+// ---------------------------------------------------------------------
+//
+// The solver's representation (clause storage, watch lists, heap
+// sifts, value tables) may change; its search may not. Every decision,
+// propagation order, learnt clause, restart, reduction and model is a
+// pure function of the input, and verdicts, counterexamples and the
+// benchmark's conflict counts all rest on that. These counts were
+// recorded before the engine's hot paths were rewritten and must never
+// move on a representation change: if one does, the search moved.
+
+namespace {
+
+struct Trajectory
+{
+    uint64_t conflicts;
+    uint64_t decisions;
+    uint64_t propagations;
+    uint64_t restarts;
+    uint64_t learnts;
+};
+
+void
+expectTrajectory(const SatSolver &s, const Trajectory &want,
+                 const std::string &label)
+{
+    EXPECT_EQ(s.conflicts(), want.conflicts) << label;
+    EXPECT_EQ(s.decisions(), want.decisions) << label;
+    EXPECT_EQ(s.propagations(), want.propagations) << label;
+    EXPECT_EQ(s.restarts(), want.restarts) << label;
+    EXPECT_EQ(s.learnts(), want.learnts) << label;
+}
+
+std::string
+modelBits(const SatSolver &s)
+{
+    std::string bits;
+    for (int v = 1; v <= s.numVars(); ++v)
+        bits.push_back(s.modelValue(v) ? '1' : '0');
+    return bits;
+}
+
+std::string
+binaryFn(const char *name, const std::string &w, const std::string &body)
+{
+    return "define " + w + " @" + name + "(" + w + " %a, " + w +
+           " %b) {\n" + body + "}\n";
+}
+
+} // namespace
+
+TEST(SatTest, SearchTrajectoryIsPinned)
+{
+    // The refinement queries that dominate module_cold's conflicts,
+    // encoded one-shot exactly as the fresh verification path does.
+    struct Query
+    {
+        const char *label;
+        std::string src;
+        std::string tgt;
+        int vars;
+        uint64_t clauses;
+        Trajectory want;
+    };
+    const std::string i64 = "i64", i32 = "i32";
+    const Query queries[] = {
+        {"(a&b)+(a|b) -> a+b, i64",
+         binaryFn("src", i64,
+                  "  %x = and i64 %a, %b\n  %y = or i64 %a, %b\n"
+                  "  %r = add i64 %x, %y\n  ret i64 %r\n"),
+         binaryFn("tgt", i64, "  %r = add i64 %a, %b\n  ret i64 %r\n"),
+         953, 2794, {2084, 13394, 120004, 13, 1310}},
+        {"umax(a,b)-b -> usub.sat, i32",
+         binaryFn("src", i32,
+                  "  %m = call i32 @llvm.umax.i32(i32 %a, i32 %b)\n"
+                  "  %r = sub i32 %m, %b\n  ret i32 %r\n"),
+         binaryFn("tgt", i32,
+                  "  %r = call i32 @llvm.usub.sat.i32(i32 %a, i32 %b)\n"
+                  "  ret i32 %r\n"),
+         571, 1680, {1007, 5163, 54613, 6, 995}},
+        {"add/icmp ult/select -> uadd.sat, i32",
+         binaryFn("src", i32,
+                  "  %s = add i32 %a, %b\n"
+                  "  %c = icmp ult i32 %s, %a\n"
+                  "  %r = select i1 %c, i32 -1, i32 %s\n  ret i32 %r\n"),
+         binaryFn("tgt", i32,
+                  "  %r = call i32 @llvm.uadd.sat.i32(i32 %a, i32 %b)\n"
+                  "  ret i32 %r\n"),
+         506, 1485, {749, 2549, 69231, 5, 743}},
+        {"umin(umin(a,b),a) -> umin(a,b), i64",
+         binaryFn("src", i64,
+                  "  %m = call i64 @llvm.umin.i64(i64 %a, i64 %b)\n"
+                  "  %r = call i64 @llvm.umin.i64(i64 %m, i64 %a)\n"
+                  "  ret i64 %r\n"),
+         binaryFn("tgt", i64,
+                  "  %r = call i64 @llvm.umin.i64(i64 %a, i64 %b)\n"
+                  "  ret i64 %r\n"),
+         1275, 3760, {800, 28745, 279238, 5, 789}},
+    };
+    for (const Query &q : queries) {
+        ir::Context ctx;
+        auto src = ir::parseFunction(ctx, q.src);
+        auto tgt = ir::parseFunction(ctx, q.tgt);
+        ASSERT_TRUE(src.ok() && tgt.ok()) << q.label;
+        SatSolver s;
+        CircuitBuilder builder(s);
+        ASSERT_TRUE(verify::encodeRefinementQuery(builder, **src, **tgt))
+            << q.label;
+        EXPECT_EQ(s.numVars(), q.vars) << q.label;
+        EXPECT_EQ(s.clausesAdded(), q.clauses) << q.label;
+        EXPECT_EQ(s.solve(), SatResult::Unsat) << q.label;
+        expectTrajectory(s, q.want, q.label);
+    }
+
+    // PHP(8,7) under a small reduce limit: many restarts, repeated
+    // database reductions, a long Unsat proof.
+    {
+        SatSolver s;
+        s.setReduceLimit(64);
+        const int pigeons = 8, holes = 7;
+        std::vector<std::vector<int>> var(pigeons, std::vector<int>(holes));
+        for (auto &row : var)
+            for (int &v : row)
+                v = s.newVar();
+        for (auto &row : var)
+            s.addClause(std::vector<Lit>(row.begin(), row.end()));
+        for (int hole = 0; hole < holes; ++hole)
+            for (int i = 0; i < pigeons; ++i)
+                for (int j = i + 1; j < pigeons; ++j)
+                    s.addBinary(-var[i][hole], -var[j][hole]);
+        EXPECT_EQ(s.solve(), SatResult::Unsat);
+        expectTrajectory(s, {3886, 4710, 49375, 20, 1152}, "PHP(8,7)");
+        EXPECT_EQ(s.learntsRemoved(), 2732u) << "PHP(8,7)";
+    }
+
+    // A satisfiable planted 3-SAT instance near the threshold: the
+    // model itself is pinned bit for bit.
+    {
+        Rng rng(0x5A7);
+        const int nv = 250;
+        std::vector<bool> planted(nv + 1);
+        for (int v = 1; v <= nv; ++v)
+            planted[v] = rng.chance(0.5);
+        SatSolver s;
+        for (int v = 0; v < nv; ++v)
+            s.newVar();
+        for (int c = 0; c < 1060; ++c) {
+            std::vector<Lit> clause;
+            for (int l = 0; l < 3; ++l) {
+                int v = 1 + static_cast<int>(rng.nextBelow(nv));
+                clause.push_back(rng.chance(0.5) ? v : -v);
+            }
+            // Keep the planted assignment a model.
+            int v0 = std::abs(clause[0]);
+            bool hit = false;
+            for (Lit lit : clause)
+                hit |= (lit > 0) == planted[std::abs(lit)];
+            if (!hit)
+                clause[0] = planted[v0] ? v0 : -v0;
+            s.addClause(clause);
+        }
+        ASSERT_EQ(s.solve(), SatResult::Sat);
+        expectTrajectory(s, {650, 923, 31052, 5, 650}, "planted 3-SAT");
+        EXPECT_EQ(modelBits(s),
+                  "11010101011100000100110111100100111011010001001101"
+                  "11000010000110100001100101101011011110111110110100"
+                  "01110111100000000100111100011100100111101110110101"
+                  "01000011100100110000100011011100110100101010011001"
+                  "10111011111010001100101001110101100110011011001100")
+            << "planted 3-SAT model";
+    }
+
+    // A multi-candidate RefinementSession stream: carried learnts,
+    // activation release between candidates, and the one-shot re-proof
+    // behind each counterexample.
+    {
+        ir::Context ctx;
+        auto src = ir::parseFunction(
+            ctx, binaryFn("src", i32,
+                          "  %m = call i32 @llvm.umax.i32(i32 %a, i32 %b)\n"
+                          "  %r = sub i32 %m, %b\n  ret i32 %r\n"));
+        ASSERT_TRUE(src.ok());
+        const std::string candidates[] = {
+            // wrong: plain subtraction
+            binaryFn("tgt", i32, "  %r = sub i32 %a, %b\n  ret i32 %r\n"),
+            // right: the saturating intrinsic
+            binaryFn("tgt", i32,
+                     "  %r = call i32 @llvm.usub.sat.i32(i32 %a, i32 %b)\n"
+                     "  ret i32 %r\n"),
+            // wrong: saturates the other way round
+            binaryFn("tgt", i32,
+                     "  %r = call i32 @llvm.usub.sat.i32(i32 %b, i32 %a)\n"
+                     "  ret i32 %r\n"),
+            // right: compare-and-select form
+            binaryFn("tgt", i32,
+                     "  %c = icmp ugt i32 %a, %b\n"
+                     "  %s = sub i32 %a, %b\n"
+                     "  %r = select i1 %c, i32 %s, i32 0\n  ret i32 %r\n"),
+        };
+        const std::string mismatch =
+            "ERROR: value mismatch\n\nExample:\ni32 %a = 0\n"
+            "i32 %b = -2147483648\nSource value: 0\n"
+            "Target value: -2147483648\n";
+        const std::string proved = "Transformation seems to be correct!";
+        const std::string want_details[] = {mismatch, proved, mismatch,
+                                            proved};
+        verify::SatTelemetry telemetry;
+        verify::RefineOptions options;
+        options.num_threads = 1;
+        options.sat_telemetry = &telemetry;
+        verify::RefinementSession session(**src, options);
+        for (size_t i = 0; i < std::size(candidates); ++i) {
+            auto tgt = ir::parseFunction(ctx, candidates[i]);
+            ASSERT_TRUE(tgt.ok());
+            verify::RefinementResult r = session.check(**tgt);
+            EXPECT_EQ(r.feedbackMessage(**src), want_details[i])
+                << "candidate " << i;
+        }
+        EXPECT_EQ(telemetry.solves, 6u);
+        EXPECT_EQ(telemetry.decisions, 11130u);
+        EXPECT_EQ(telemetry.conflicts, 1251u);
+        EXPECT_EQ(telemetry.propagations, 113482u);
+        EXPECT_EQ(telemetry.restarts, 8u);
+        EXPECT_EQ(telemetry.learnts_carried, 763u);
+        EXPECT_EQ(telemetry.session_fallbacks, 2u);
+    }
+}

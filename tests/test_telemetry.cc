@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/module_opt.h"
+#include "core/report.h"
 #include "corpus/generator.h"
 #include "ir/printer.h"
 #include "llm/mock_model.h"
@@ -170,6 +172,54 @@ TEST(TelemetryTest, HistogramPercentiles)
     EXPECT_EQ(h->max, 500'000'000'000ull);
     EXPECT_LE(h->percentile(1.0), 500'000'000'000.0);
     registry.reset();
+}
+
+TEST(TelemetryTest, PercentilesStayWithinObservedRange)
+{
+    auto &registry = telemetry::MetricsRegistry::instance();
+    registry.reset();
+    registry.setEnabled(true);
+    telemetry::Histogram hist = registry.histogram("test.clamp");
+
+    // One 98.8 ms sample: it is every percentile, exactly. Unclamped,
+    // interpolation inside its (50 ms, 100 ms] bucket reported p50 at
+    // 75 ms.
+    hist.record(98'800'000);
+    telemetry::MetricsSnapshot snap = registry.snapshot();
+    const telemetry::HistogramSnapshot *h = snap.histogram("test.clamp");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->min, 98'800'000u);
+    EXPECT_EQ(h->max, 98'800'000u);
+    EXPECT_DOUBLE_EQ(h->p50(), 98'800'000.0);
+    EXPECT_DOUBLE_EQ(h->p99(), 98'800'000.0);
+
+    // Spread samples over several buckets, recorded from two threads
+    // (the min cell must fold across shards like the max cell): no
+    // percentile may leave [min, max].
+    std::thread other([&] {
+        for (uint64_t v = 30'100; v < 38'900; v += 7)
+            hist.record(v);
+    });
+    other.join();
+    for (uint64_t v = 31'000; v < 35'000; v += 3)
+        hist.record(v);
+    snap = registry.snapshot();
+    h = snap.histogram("test.clamp");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->min, 30'100u);
+    EXPECT_EQ(h->max, 98'800'000u);
+    for (double q = 0.0; q <= 1.0; q += 0.01) {
+        EXPECT_GE(h->percentile(q), static_cast<double>(h->min)) << q;
+        EXPECT_LE(h->percentile(q), static_cast<double>(h->max)) << q;
+    }
+    EXPECT_LE(h->p90(), h->p99());
+
+    registry.reset();
+    snap = registry.snapshot();
+    h = snap.histogram("test.clamp");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->count, 0u);
+    EXPECT_EQ(h->min, 0u);
 }
 
 TEST(TelemetryTest, SnapshotDeterministicAcrossThreadCounts)
@@ -427,6 +477,72 @@ TEST(TelemetryTest, StageTimingsFollowTelemetrySwitch)
     }
     telemetry::MetricsRegistry::instance().setEnabled(true);
     telemetry::MetricsRegistry::instance().reset();
+}
+
+namespace {
+
+/** The "wall share" cell of every row of a --profile phase table, in
+ *  percent ("-" cells are skipped). */
+std::vector<double>
+wallShares(const std::string &profile)
+{
+    std::vector<double> shares;
+    std::istringstream lines(profile);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.rfind("scheduler", 0) == 0)
+            break; // the scheduler table has no share column
+        std::istringstream cells(line);
+        std::string cell;
+        while (cells >> cell)
+            if (cell.size() > 1 && cell.back() == '%')
+                shares.push_back(std::stod(cell));
+    }
+    return shares;
+}
+
+} // namespace
+
+TEST(TelemetryTest, ProfileWallShareNeverExceedsCapacity)
+{
+    // Per-case phase times fold over every worker, so verify's summed
+    // time can be several times the wall time of a threaded run. The
+    // wall share divides by threads x wall and stays within 100%.
+    core::PipelineStats stats;
+    stats.timings.verify_ns = 2'510'000;
+    stats.timings.propose_ns = 400'000;
+    stats.timings.total_ns = 1'000'000;
+    telemetry::MetricsSnapshot empty;
+    std::string table = core::profileSummary(stats, empty, 4, 1'000'000);
+    EXPECT_NE(table.find("cpu ms"), std::string::npos) << table;
+    EXPECT_NE(table.find("2.510"), std::string::npos) << table;
+    EXPECT_NE(table.find("62.8%"), std::string::npos) << table;
+    for (double share : wallShares(table))
+        EXPECT_LE(share, 100.0) << table;
+    // Without a wall time there is no share to report.
+    EXPECT_TRUE(
+        wallShares(core::profileSummary(stats, empty, 4, 0)).empty());
+
+    // A real 4-thread run.
+    auto &registry = telemetry::MetricsRegistry::instance();
+    registry.setEnabled(true);
+    registry.reset();
+    ir::Context ctx;
+    corpus::CorpusGenerator generator(ctx);
+    auto module = generator.largeModule(7, 16, 3);
+    llm::MockModel model(strongProfile(), 1);
+    core::ModuleOptOptions options;
+    options.pipeline.proposer = core::ProposerKind::Hybrid;
+    options.pipeline.num_threads = 4;
+    core::ModuleOptimizer optimizer(model, options);
+    core::ModuleOptResult result = optimizer.optimize(*module, 1);
+    table = core::profileSummary(result.pipeline, registry.snapshot(), 4,
+                                 result.pipeline.timings.total_ns);
+    std::vector<double> shares = wallShares(table);
+    ASSERT_EQ(shares.size(), 6u) << table; // five phases + total
+    for (double share : shares)
+        EXPECT_LE(share, 100.0) << table;
+    registry.reset();
 }
 
 TEST(TelemetryTest, PoolMetricsAccumulate)

@@ -258,22 +258,50 @@ cp build-release/BENCH_persist.json .
 echo "BENCH_persist.json:"
 cat BENCH_persist.json
 
-# Regression gate: warm/cold speedup (a ratio, so portable across
-# runner hardware) against the committed baseline; >20% drop fails.
+# Regression gate: the warm run's work counts, which are deterministic
+# and identical on every runner. A warm run must solve no SAT query,
+# spend no conflict, pay fewer LLM calls than the cold run, and hit the
+# catalog and the seeded cache on every lookup. warm_speedup is a
+# wall-time ratio that moves whenever the cold path gets faster, so it
+# is reported against the baseline but not gated.
+persist_field() {
+    grep -o "\"$1\": [0-9.]*" BENCH_persist.json | awk '{print $2}'
+}
+awk -v solves="$(persist_field warm_sat_solves)" \
+    -v conflicts="$(persist_field warm_sat_conflicts)" \
+    -v warm_llm="$(persist_field warm_llm_calls)" \
+    -v cold_llm="$(persist_field cold_llm_calls)" \
+    -v catalog="$(persist_field catalog_hit_rate)" \
+    -v cache="$(persist_field warm_cache_hit_rate)" 'BEGIN {
+    fail = 0
+    if (solves == "" || solves + 0 != 0) {
+        printf "FAIL: warm run performed %s SAT solves (want 0)\n", solves
+        fail = 1
+    }
+    if (conflicts == "" || conflicts + 0 != 0) {
+        printf "FAIL: warm run spent %s SAT conflicts (want 0)\n", conflicts
+        fail = 1
+    }
+    if (warm_llm == "" || cold_llm == "" || warm_llm + 0 >= cold_llm + 0) {
+        printf "FAIL: warm run paid %s LLM calls, cold %s (want fewer)\n", \
+               warm_llm, cold_llm
+        fail = 1
+    }
+    if (catalog + 0 != 1 || cache + 0 != 1) {
+        printf "FAIL: warm catalog hit rate %s, cache hit rate %s " \
+               "(want 1.000 each)\n", catalog, cache
+        fail = 1
+    }
+    if (fail)
+        exit 1
+    printf "persistent store warm run: 0 SAT solves, 0 conflicts, " \
+           "%d LLM calls vs %d cold, 100%% catalog and cache hits: OK\n", \
+           warm_llm, cold_llm
+}'
 baseline=$(grep -o '"warm_speedup": [0-9.]*' \
     bench/BENCH_persist.baseline.json | awk '{print $2}')
-current=$(grep -o '"warm_speedup": [0-9.]*' \
-    BENCH_persist.json | awk '{print $2}')
-awk -v c="$current" -v b="$baseline" 'BEGIN {
-    if (c + 0 < 0.8 * b) {
-        printf "FAIL: persistent-store warm speedup %.1fx regressed " \
-               "more than 20%% against the committed baseline %.1fx\n", \
-               c, b
-        exit 1
-    }
-    printf "persistent-store warm speedup %.1fx vs baseline %.1fx: OK\n", \
-           c, b
-}'
+echo "persistent-store warm speedup $(persist_field warm_speedup)x" \
+     "(baseline ${baseline}x; reported, not gated)"
 
 echo "=== Durability sweep (Release) ==="
 # End-to-end crash-safety drill against the real CLI: a cold and a
