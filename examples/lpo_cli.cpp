@@ -37,8 +37,8 @@
 #include "opt/opt_driver.h"
 #include "support/failpoint.h"
 #include "support/kvstore.h"
+#include "support/task_graph.h"
 #include "support/telemetry.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 #include "verify/persist.h"
 #include "verify/refine.h"
@@ -292,7 +292,7 @@ finishObservability(const RunOptions &options,
                              stats, snapshot,
                              options.config.num_threads
                                  ? options.config.num_threads
-                                 : ThreadPool::hardwareThreads(),
+                                 : TaskScheduler::hardwareThreads(),
                              wall_ns)
                              .c_str());
         if (!options.metrics_path.empty()) {

@@ -7,7 +7,6 @@
 #include "ir/printer.h"
 #include "opt/opt_driver.h"
 #include "support/telemetry.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace lpo::core {
@@ -51,6 +50,13 @@ proposerHistogram(Proposer::Backend backend)
 Pipeline::Pipeline(llm::LlmClient &client, PipelineConfig config)
     : client_(client), config_(std::move(config))
 {
+    // Resolve the thread count once. It bounds every verification
+    // sweep too, so num_threads = 1 is serial all the way down.
+    if (config_.num_threads == 0)
+        config_.num_threads = TaskScheduler::hardwareThreads();
+    if (config_.refine.num_threads == 0 ||
+        config_.refine.num_threads > config_.num_threads)
+        config_.refine.num_threads = config_.num_threads;
     if (config_.store_path.empty())
         return;
     std::string warning;
@@ -470,9 +476,7 @@ Pipeline::processSequences(
     uint64_t round_seed,
     const std::function<void(size_t, const CaseOutcome &)> &on_commit)
 {
-    unsigned threads = config_.num_threads
-                           ? config_.num_threads
-                           : ThreadPool::hardwareThreads();
+    const unsigned threads = config_.num_threads;
     std::vector<CaseOutcome> outcomes(sequences.size());
 
     if (threads <= 1 || sequences.size() <= 1) {
@@ -498,7 +502,7 @@ Pipeline::processSequences(
 
     // The pipeline-level fan-out already saturates the machine, so
     // each worker runs its verification sweeps serially rather than
-    // nesting a second hardware-wide pool per candidate.
+    // opening a second hardware-wide scheduler per candidate.
     verify::RefineOptions worker_refine = config_.refine;
     worker_refine.num_threads = 1;
 
@@ -576,13 +580,6 @@ Pipeline::processSequences(
     scope.wait();
 
     stats_.scheduler += scope.stats();
-    telemetry::counter("sched.tasks_run").add(scope.stats().tasks_run);
-    telemetry::counter("sched.steals").add(scope.stats().steals);
-    telemetry::counter("sched.steal_attempts")
-        .add(scope.stats().steal_attempts);
-    telemetry::counter("sched.queue_depth_max")
-        .add(scope.stats().max_queue_depth);
-    telemetry::counter("sched.idle_ns").add(scope.stats().idle_ns);
 
     refreshCacheStats();
     return outcomes;

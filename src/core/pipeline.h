@@ -43,12 +43,13 @@ struct PipelineConfig
     double verify_seconds = 0.4;
     /**
      * Threads for processModule's per-sequence fan-out (0 = hardware
-     * concurrency; 1 reproduces the original serial behavior). Every
-     * thread count produces bit-identical outcomes and stats: each
-     * case's seed depends only on its position, workers run cases in
-     * isolated per-thread IR contexts, and per-case stat deltas are
-     * merged in sequence order (see DESIGN.md, "Deterministic
-     * parallelism").
+     * concurrency; 1 reproduces the original serial behavior). It also
+     * caps refine.num_threads, so 1 keeps every verification sweep
+     * serial as well. Every thread count produces bit-identical
+     * outcomes and stats: each case's seed depends only on its
+     * position, workers run cases in isolated per-thread IR contexts,
+     * and per-case stat deltas are merged in sequence order (see
+     * DESIGN.md, "Deterministic parallelism").
      */
     unsigned num_threads = 0;
     /**
@@ -335,8 +336,9 @@ class Pipeline
     /**
      * One sequence's trip through the loop, accounted into @p stats,
      * verifying with @p refine (processModule workers pass a serial
-     * copy so per-case sweeps don't nest thread pools; by the
-     * deterministic-parallelism contract this cannot change results).
+     * copy so per-case sweeps don't open a scheduler inside a
+     * scheduler task; by the deterministic-parallelism contract this
+     * cannot change results).
      * Dispatches to the configured proposer; in Hybrid mode runs the
      * LLM attempt loop and falls back to the e-graph on
      * NoCandidate/Incorrect. Owns the case's incremental verification

@@ -49,11 +49,11 @@ class LlmClient
      * Run one completion.
      *
      * MUST be safe to call concurrently from multiple threads:
-     * core::Pipeline::processModule fans sequences out over a worker
-     * pool (PipelineConfig::num_threads) and shares one client across
-     * workers. MockModel is stateless per call; implementations with
-     * internal state (sessions, caches, accounting) need their own
-     * synchronization.
+     * core::Pipeline::processModule runs one task per sequence on a
+     * work-stealing TaskScheduler (PipelineConfig::num_threads) and
+     * shares one client across its workers. MockModel is stateless
+     * per call; implementations with internal state (sessions, caches,
+     * accounting) need their own synchronization.
      */
     virtual LlmResponse complete(const LlmRequest &request) = 0;
 };

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "support/telemetry.h"
+
 namespace lpo {
 
 namespace {
@@ -39,6 +41,26 @@ void atomicMax(std::atomic<uint64_t> &slot, uint64_t value)
            !slot.compare_exchange_weak(seen, value,
                                        std::memory_order_relaxed))
         ;
+}
+
+/** Add one finished scope's counters to the process-wide registry. */
+void publishScopeStats(const TaskGraphStats &stats)
+{
+    static const telemetry::Counter tasks_run =
+        telemetry::counter("sched.tasks_run");
+    static const telemetry::Counter steals =
+        telemetry::counter("sched.steals");
+    static const telemetry::Counter steal_attempts =
+        telemetry::counter("sched.steal_attempts");
+    static const telemetry::Counter queue_depth_max =
+        telemetry::counter("sched.queue_depth_max");
+    static const telemetry::Counter idle_ns =
+        telemetry::counter("sched.idle_ns");
+    tasks_run.add(stats.tasks_run);
+    steals.add(stats.steals);
+    steal_attempts.add(stats.steal_attempts);
+    queue_depth_max.add(stats.max_queue_depth);
+    idle_ns.add(stats.idle_ns);
 }
 
 } // namespace
@@ -162,20 +184,23 @@ struct TaskScheduler::Worker
 
 TaskScheduler::TaskScheduler() : TaskScheduler(Options()) {}
 
+unsigned TaskScheduler::hardwareThreads()
+{
+    unsigned n = std::thread::hardware_concurrency();
+    return n != 0 ? n : 1;
+}
+
 TaskScheduler::TaskScheduler(const Options &options)
 {
-    unsigned n = options.num_threads != 0
-                     ? options.num_threads
-                     : std::thread::hardware_concurrency();
-    if (n == 0)
-        n = 1;
+    const unsigned n = options.num_threads != 0 ? options.num_threads
+                                                : hardwareThreads();
     num_threads_ = n;
     steal_seed_ = options.steal_seed;
     workers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
         workers_.push_back(
             std::make_unique<Worker>(splitmix64(steal_seed_ ^ i)));
-    threads_.reserve(n > 0 ? n - 1 : 0);
+    threads_.reserve(n - 1);
     for (unsigned i = 1; i < n; ++i)
         threads_.emplace_back(&TaskScheduler::workerLoop, this, i);
 }
@@ -426,6 +451,10 @@ TaskScope::TaskScope(TaskScheduler &scheduler) : scheduler_(scheduler)
         scheduler_.counters_.idle_ns.load(std::memory_order_relaxed);
     // The creating thread is slot 0 for the scope's lifetime, so
     // submit() routes ready tasks into slot 0's deque (it owns it).
+    // A thread already serving another scheduler (a scope opened
+    // inside a task) gets its slot there back from wait().
+    outer_scheduler_ = tls_scheduler;
+    outer_worker_ = tls_worker;
     tls_scheduler = &scheduler_;
     tls_worker = 0;
     scheduler_.work_ready_.notify_all();
@@ -530,12 +559,13 @@ void TaskScope::wait()
                          counters_base_.idle_ns;
         scheduler_.stats_ += stats_;
     }
+    publishScopeStats(stats_);
     {
         std::lock_guard<std::mutex> lk(graph_mutex_);
         waited_ = true;
     }
-    tls_scheduler = nullptr;
-    tls_worker = 0;
+    tls_scheduler = outer_scheduler_;
+    tls_worker = outer_worker_;
     if (internal_error)
         std::rethrow_exception(internal_error);
     if (first_error_) {

@@ -1,12 +1,13 @@
 /**
  * @file
- * Work-stealing streaming task-graph scheduler.
+ * Work-stealing streaming task-graph scheduler: the one thread
+ * mechanism in lpo. It runs the module pipeline's per-sequence fan-out
+ * and the verifier's chunked concrete-testing sweep.
  *
- * The module pipeline's original fan-out (ThreadPool::parallelFor over
- * static chunks with hard phase barriers) lets one adversarial SAT
- * query idle a worker's whole share of the module while every other
- * phase waits. This scheduler replaces the barriers with a dependency
- * graph: tasks become ready when their dependency count reaches zero,
+ * Static chunks with hard phase barriers let one adversarial SAT query
+ * idle a worker's whole share of the module while every other phase
+ * waits. This scheduler uses a dependency graph instead: tasks become
+ * ready when their dependency count reaches zero,
  * ready tasks go to the enqueuing worker's own Chase-Lev-style deque
  * (owner pushes and pops the bottom without contention; thieves CAS
  * the top), and idle workers steal from deterministically seeded
@@ -34,6 +35,9 @@
  *  - Per-task conflict budgets: submit() records a budget with each
  *    task; the running task can read it via currentTaskBudget(). The
  *    pipeline maps it onto the verifier's budget ladder.
+ *  - Scopes nest: a task may open a scope on another scheduler (the
+ *    verifier's sweep inside a pipeline case does). Scopes opened on
+ *    one thread must be waited in reverse order of creation.
  *
  * Victim selection is a per-worker xorshift stream seeded from
  * (options.steal_seed, worker index), so two runs of the same build
@@ -107,6 +111,9 @@ class TaskScheduler
 
     /** Total parallelism, counting the calling thread. */
     unsigned size() const { return num_threads_; }
+
+    /** std::thread::hardware_concurrency(), never zero. */
+    static unsigned hardwareThreads();
 
     /** Counters folded over every completed scope (quiescent reads
      *  only: call between scopes, not while one is running). */
@@ -207,7 +214,9 @@ class TaskScope
      * scope is quiescent: every submitted task completed or was
      * discarded by cancellation. Rethrows the first captured task
      * exception (by completion order) after quiescence; the remaining
-     * tasks are cancelled, never leaked.
+     * tasks are cancelled, never leaked. Adds the scope's counters to
+     * the process-wide `sched.*` metrics and restores the calling
+     * thread's enclosing scope, if any.
      */
     void wait();
 
@@ -245,6 +254,10 @@ class TaskScope
     std::priority_queue<TaskId, std::vector<TaskId>, std::greater<TaskId>>
         serial_ready_; // guarded by graph_mutex_
     bool waited_ = false;
+    /** The creating thread's slot before this scope claimed slot 0;
+     *  wait() hands it back. */
+    TaskScheduler *outer_scheduler_ = nullptr;
+    unsigned outer_worker_ = 0;
     TaskGraphStats counters_base_; ///< scheduler counters at scope entry
     TaskGraphStats stats_;
 };

@@ -1,5 +1,6 @@
 #include "verify/refine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cmath>
@@ -10,8 +11,8 @@
 #include "interp/exec_plan.h"
 #include "ir/printer.h"
 #include "support/rng.h"
+#include "support/task_graph.h"
 #include "support/telemetry.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 #include "verify/cache.h"
 #include "verify/encoder.h"
@@ -526,16 +527,11 @@ checkWithTesting(const ir::Function &src, const ir::Function &tgt,
     SpecialPatternCache special_cache =
         exhaustive ? SpecialPatternCache{} : buildSpecialPatterns(src);
 
-    // The sweep is chunked over the pool. first_bad converges on the
-    // LOWEST violating input index, so the reported counterexample is
+    // The sweep runs in chunks. first_bad converges on the LOWEST
+    // violating input index, so the reported counterexample is
     // independent of thread count and scheduling.
     std::atomic<uint64_t> first_bad{kNoViolation};
-    const uint64_t chunk = exhaustive ? 1024 : 256;
-    // Sweeps that fit in one chunk gain nothing from workers; skip
-    // the thread spawn entirely (parallelFor runs inline on a
-    // single-thread pool).
-    ThreadPool pool(total > chunk ? options.num_threads : 1);
-    pool.parallelFor(0, total, chunk, [&](uint64_t lo, uint64_t hi) {
+    auto sweep = [&](uint64_t lo, uint64_t hi) {
         ExecFrame src_frame = src_plan.makeFrame();
         ExecFrame tgt_frame = tgt_plan.makeFrame();
         for (uint64_t index = lo; index < hi; ++index) {
@@ -558,7 +554,27 @@ checkWithTesting(const ir::Function &src, const ir::Function &tgt,
                 return;
             }
         }
-    });
+    };
+    const uint64_t chunk = exhaustive ? 1024 : 256;
+    const unsigned threads =
+        options.num_threads != 0 ? options.num_threads
+                                 : TaskScheduler::hardwareThreads();
+    if (threads <= 1 || total <= chunk) {
+        // Serial sweep, or one that fits in one chunk: run it on the
+        // caller and start no threads.
+        sweep(0, total);
+    } else {
+        // One dependency-free task per chunk.
+        TaskScheduler::Options sched_options;
+        sched_options.num_threads = threads;
+        TaskScheduler scheduler(sched_options);
+        TaskScope scope(scheduler);
+        for (uint64_t lo = 0; lo < total; lo += chunk) {
+            const uint64_t hi = std::min(lo + chunk, total);
+            scope.submit([&sweep, lo, hi] { sweep(lo, hi); });
+        }
+        scope.wait();
+    }
 
     uint64_t bad = first_bad.load();
     if (bad == kNoViolation) {

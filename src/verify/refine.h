@@ -151,10 +151,12 @@ struct RefineOptions
     uint64_t seed = 0xA11CE;
     /**
      * Threads for the concrete-testing sweep (0 = hardware
-     * concurrency, 1 = serial). Results are bit-identical for every
-     * thread count: inputs are derived from their index alone and the
-     * lowest violating input index always wins (see DESIGN.md,
-     * "Deterministic parallelism").
+     * concurrency, 1 = serial). A parallel sweep runs one task per
+     * input chunk on a local TaskScheduler; a serial one, or one that
+     * fits in a single chunk, runs on the caller. Results are
+     * bit-identical for every thread count: inputs are derived from
+     * their index alone and the lowest violating input index always
+     * wins (see DESIGN.md, "Deterministic parallelism").
      */
     unsigned num_threads = 0;
     /**

@@ -18,6 +18,7 @@
 #include "ir/parser.h"
 #include "llm/mock_model.h"
 #include "support/rng.h"
+#include "support/telemetry.h"
 #include "verify/refine.h"
 
 using namespace lpo;
@@ -463,6 +464,68 @@ TEST(DeterministicParallelism, CorrectVerdictThreadInvariant)
     auto serial = checkWithThreads(kBranchySrc, kBranchySrc, 1);
     auto parallel = checkWithThreads(kBranchySrc, kBranchySrc, 8);
     EXPECT_EQ(serial.verdict, verify::Verdict::Correct);
+    expectSameRefinement(serial, parallel);
+}
+
+namespace {
+
+// The i16 form of the branchy pair: 65,536 exhaustive inputs in 64
+// chunks of 1024, so num_threads = 8 really fans out (the i8 pair fits
+// in one chunk and always runs serially). The first violating input,
+// x = 32769, lies in chunk 32, and every later negative input violates
+// too, so the lowest-index fold has many candidates to order.
+const char *kBranchy16Src =
+    "define i16 @src(i16 %x) {\n"
+    "entry:\n"
+    "  %c = icmp slt i16 %x, 0\n"
+    "  br i1 %c, label %neg, label %pos\n"
+    "neg:\n"
+    "  %n = sub i16 0, %x\n"
+    "  br label %join\n"
+    "pos:\n"
+    "  br label %join\n"
+    "join:\n"
+    "  %r = phi i16 [ %n, %neg ], [ %x, %pos ]\n"
+    "  ret i16 %r\n}\n";
+const char *kBranchy16Tgt =
+    "define i16 @tgt(i16 %x) {\n"
+    "entry:\n"
+    "  ret i16 %x\n}\n";
+
+uint64_t
+schedTasksRun()
+{
+    return telemetry::MetricsRegistry::instance().snapshot().counter(
+        "sched.tasks_run");
+}
+
+} // namespace
+
+TEST(DeterministicParallelism, WideExhaustiveSweepThreadInvariant)
+{
+    auto serial = checkWithThreads(kBranchy16Src, kBranchy16Tgt, 1);
+    auto parallel = checkWithThreads(kBranchy16Src, kBranchy16Tgt, 8);
+
+    ASSERT_EQ(serial.verdict, verify::Verdict::Incorrect);
+    EXPECT_EQ(serial.backend, "exhaustive");
+    ASSERT_TRUE(serial.counterexample.has_value());
+    EXPECT_EQ(serial.counterexample->input.args[0].lanes[0].bits.zext(),
+              32769u);
+    expectSameRefinement(serial, parallel);
+}
+
+TEST(DeterministicParallelism, WideCorrectVerdictThreadInvariant)
+{
+    telemetry::MetricsRegistry::instance().setEnabled(true);
+    const uint64_t before = schedTasksRun();
+    auto serial = checkWithThreads(kBranchy16Src, kBranchy16Src, 1);
+    EXPECT_EQ(schedTasksRun(), before) << "serial sweep used a scheduler";
+    auto parallel = checkWithThreads(kBranchy16Src, kBranchy16Src, 8);
+    // A Correct sweep never exits early: one task per chunk.
+    EXPECT_EQ(schedTasksRun() - before, 64u);
+
+    EXPECT_EQ(serial.verdict, verify::Verdict::Correct);
+    EXPECT_EQ(serial.detail, "exhaustive over 65536 inputs");
     expectSameRefinement(serial, parallel);
 }
 

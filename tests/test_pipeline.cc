@@ -7,6 +7,7 @@
 #include "corpus/benchmarks.h"
 #include "ir/parser.h"
 #include "llm/mock_model.h"
+#include "support/telemetry.h"
 
 using namespace lpo;
 using core::CaseStatus;
@@ -33,6 +34,24 @@ perfectModel()
     p.semantic_error_rate = 0;
     return p;
 }
+
+/** A model that always proposes the same candidate text. */
+class FixedModel : public llm::LlmClient
+{
+  public:
+    explicit FixedModel(std::string text) : text_(std::move(text)) {}
+    const std::string &name() const override { return name_; }
+    llm::LlmResponse complete(const llm::LlmRequest &) override
+    {
+        llm::LlmResponse response;
+        response.text = text_;
+        return response;
+    }
+
+  private:
+    std::string name_ = "fixed";
+    std::string text_;
+};
 
 } // namespace
 
@@ -163,4 +182,32 @@ TEST(PipelineTest, FeedbackImprovesDetectionStatistically)
         }
     }
     EXPECT_GT(lpo, lpo_minus);
+}
+
+// num_threads = 1 is serial all the way down: the pipeline caps the
+// verifier's sweep threads (RefineOptions::num_threads defaults to 0,
+// i.e. hardware concurrency), so even a 20,000-sample FP sweep runs on
+// the caller and no scheduler task runs.
+TEST(PipelineTest, SingleThreadPipelineVerifiesSerially)
+{
+    ir::Context ctx;
+    auto src = ir::parseFunction(ctx,
+        "define double @f(double %x) {\n"
+        "  %a = fmul double %x, 1.000000e+00\n"
+        "  %b = fmul double %a, 1.000000e+00\n"
+        "  ret double %b\n}\n").take();
+    FixedModel model("define double @f(double %x) {\n"
+                     "  ret double %x\n}\n");
+    PipelineConfig config;
+    config.num_threads = 1;
+    ASSERT_EQ(config.refine.num_threads, 0u);
+    Pipeline pipeline(model, config);
+
+    auto &registry = telemetry::MetricsRegistry::instance();
+    registry.setEnabled(true);
+    const uint64_t before = registry.snapshot().counter("sched.tasks_run");
+    auto outcome = pipeline.optimizeSequence(*src, 1);
+    EXPECT_EQ(outcome.verifier_backend, "sampled");
+    EXPECT_EQ(outcome.status, CaseStatus::Found);
+    EXPECT_EQ(registry.snapshot().counter("sched.tasks_run"), before);
 }

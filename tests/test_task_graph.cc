@@ -1,8 +1,9 @@
 // TaskScheduler/TaskScope tests: every submitted task runs exactly
 // once, dependencies order execution, the single-threaded scheduler is
 // deterministic, cancellation drains to quiescence with zero leaked
-// tasks, work stealing actually happens under a skewed queue, and
-// per-task budgets are visible to the running body.
+// tasks, work stealing actually happens under a skewed queue,
+// per-task budgets are visible to the running body, and scopes nest
+// inside tasks of another scheduler.
 
 #include <gtest/gtest.h>
 
@@ -276,6 +277,84 @@ TEST(TaskGraphTest, TasksCanSubmitSubtasks)
         scope.wait();
         EXPECT_EQ(ran.load(), 20u + 20u * 5u) << "threads " << threads;
         EXPECT_EQ(scope.stats().tasks_run, 120u);
+    }
+}
+
+// A task may open a scope on a second scheduler (the verifier's
+// parallel sweep inside a pipeline case does). When the inner scope is
+// done the thread must serve the outer scope again: every inner and
+// outer task runs exactly once, in dependency order.
+TEST(TaskGraphTest, NestedScopesInsideTasks)
+{
+    for (unsigned threads : {1u, 4u}) {
+        TaskScheduler scheduler(options(threads));
+        constexpr size_t kCases = 24;
+        constexpr size_t kInner = 8;
+        std::atomic<uint64_t> clock{0};
+        std::vector<std::atomic<uint32_t>> case_hits(kCases);
+        std::vector<std::atomic<uint32_t>> commit_hits(kCases);
+        std::vector<std::atomic<uint32_t>> inner_hits(kCases * kInner);
+        std::vector<uint64_t> inner_stamp(kCases * kInner);
+        std::vector<uint64_t> case_stamp(kCases), commit_stamp(kCases);
+        TaskScope scope(scheduler);
+        std::vector<TaskId> case_ids(kCases);
+        for (size_t i = 0; i < kCases; ++i)
+            case_ids[i] = scope.submit([&, i] {
+                // Alternate serial and threaded inner schedulers.
+                TaskScheduler inner(options(i % 2 ? 3 : 1, i));
+                TaskScope inner_scope(inner);
+                TaskId prev = kInvalidTask;
+                for (size_t j = 0; j < kInner; ++j) {
+                    const size_t slot = i * kInner + j;
+                    std::vector<TaskId> deps;
+                    if (prev != kInvalidTask)
+                        deps.push_back(prev);
+                    prev = inner_scope.submit(
+                        [&, slot] {
+                            inner_hits[slot].fetch_add(1);
+                            inner_stamp[slot] = clock.fetch_add(1);
+                        },
+                        deps);
+                }
+                inner_scope.wait();
+                case_hits[i].fetch_add(1);
+                case_stamp[i] = clock.fetch_add(1);
+            });
+        TaskId prev_commit = kInvalidTask;
+        for (size_t i = 0; i < kCases; ++i) {
+            std::vector<TaskId> deps{case_ids[i]};
+            if (prev_commit != kInvalidTask)
+                deps.push_back(prev_commit);
+            prev_commit = scope.submit(
+                [&, i] {
+                    commit_hits[i].fetch_add(1);
+                    commit_stamp[i] = clock.fetch_add(1);
+                },
+                deps);
+        }
+        scope.wait();
+        EXPECT_EQ(scope.stats().tasks_run, 2 * kCases)
+            << "threads " << threads;
+        for (size_t i = 0; i < kCases; ++i) {
+            ASSERT_EQ(case_hits[i].load(), 1u) << "case " << i;
+            ASSERT_EQ(commit_hits[i].load(), 1u) << "commit " << i;
+            for (size_t j = 0; j < kInner; ++j) {
+                const size_t slot = i * kInner + j;
+                ASSERT_EQ(inner_hits[slot].load(), 1u)
+                    << "case " << i << " inner " << j;
+                EXPECT_LT(inner_stamp[slot], case_stamp[i]);
+                if (j > 0)
+                    EXPECT_GT(inner_stamp[slot], inner_stamp[slot - 1])
+                        << "inner chain out of order, case " << i;
+            }
+            EXPECT_GT(commit_stamp[i], case_stamp[i])
+                << "commit " << i << " ran before its case, threads "
+                << threads;
+            if (i > 0)
+                EXPECT_GT(commit_stamp[i], commit_stamp[i - 1])
+                    << "commit chain out of order at " << i
+                    << ", threads " << threads;
+        }
     }
 }
 

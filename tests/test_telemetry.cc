@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,7 +18,7 @@
 #include "llm/mock_model.h"
 #include "support/failpoint.h"
 #include "support/telemetry.h"
-#include "support/thread_pool.h"
+#include "support/task_graph.h"
 #include "support/trace.h"
 
 using namespace lpo;
@@ -545,26 +546,32 @@ TEST(TelemetryTest, ProfileWallShareNeverExceedsCapacity)
     registry.reset();
 }
 
-TEST(TelemetryTest, PoolMetricsAccumulate)
+// Every TaskScope publishes its counters to the registry at wait(),
+// whoever opened it; the sched.tasks_run delta is exactly the number
+// of tasks the scope ran.
+TEST(TelemetryTest, SchedulerScopeMetricsAccumulate)
 {
     auto &registry = telemetry::MetricsRegistry::instance();
-    registry.reset();
     registry.setEnabled(true);
-    ThreadPool pool(4);
-    std::atomic<uint64_t> sum{0};
-    pool.parallelFor(0, 4096, 64, [&](uint64_t lo, uint64_t hi) {
-        uint64_t local = 0;
-        for (uint64_t i = lo; i < hi; ++i)
-            local += i;
-        sum.fetch_add(local);
-    });
-    EXPECT_EQ(sum.load(), 4096u * 4095u / 2);
-    telemetry::MetricsSnapshot snap = registry.snapshot();
-    EXPECT_EQ(snap.counter("pool.chunks"), 64u);
-    EXPECT_EQ(snap.counter("pool.jobs"), 1u);
-    const telemetry::HistogramSnapshot *runs =
-        snap.histogram("pool.chunk_run_ns");
-    ASSERT_NE(runs, nullptr);
-    EXPECT_EQ(runs->count, 64u);
-    registry.reset();
+    for (unsigned threads : {1u, 4u}) {
+        const uint64_t before =
+            registry.snapshot().counter("sched.tasks_run");
+        TaskScheduler::Options options;
+        options.num_threads = threads;
+        TaskScheduler scheduler(options);
+        std::atomic<uint64_t> sum{0};
+        TaskScope scope(scheduler);
+        for (uint64_t lo = 0; lo < 4096; lo += 64)
+            scope.submit([&sum, lo] {
+                uint64_t local = 0;
+                for (uint64_t i = lo; i < lo + 64; ++i)
+                    local += i;
+                sum.fetch_add(local);
+            });
+        scope.wait();
+        EXPECT_EQ(sum.load(), 4096u * 4095u / 2);
+        EXPECT_EQ(registry.snapshot().counter("sched.tasks_run") - before,
+                  64u)
+            << "threads " << threads;
+    }
 }

@@ -26,12 +26,15 @@ echo "=== Sanitize job: ASan+UBSan over concurrency and containment ==="
 # worker handshake, cancellation drains) and the fault containment /
 # rollback paths. Build those tests with -fsanitize=address,undefined
 # and run them — test_task_graph's cancellation tests double as the
-# zero-leaked-tasks check (a leaked task node is an ASan leak report).
+# zero-leaked-tasks check (a leaked task node is an ASan leak report),
+# its nested-scope test covers a scope opened inside another scope's
+# task, and the DeterministicParallelism tests drive parallel concrete
+# verification sweeps and the threaded pipeline on the scheduler.
 cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=Debug -DLPO_SANITIZE=ON
 cmake --build build-sanitize -j "${jobs}" \
-    --target test_task_graph test_thread_pool test_chaos
+    --target test_task_graph test_exec_plan test_chaos
 ./build-sanitize/test_task_graph
-./build-sanitize/test_thread_pool
+./build-sanitize/test_exec_plan --gtest_filter='DeterministicParallelism.*'
 ./build-sanitize/test_chaos
 # Repeat the failpoint sweep under the sanitizers (site list comes
 # from the Release CLI; the sites themselves are build-independent).
