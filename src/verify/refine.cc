@@ -564,12 +564,19 @@ checkWithTesting(const ir::Function &src, const ir::Function &tgt,
         // caller and start no threads.
         sweep(0, total);
     } else {
-        // One dependency-free task per chunk.
+        // One dependency-free task per chunk, on at most one thread
+        // per chunk. The caller owns slot 0's deque and pops it LIFO,
+        // so submitting the chunks in descending order has it sweep
+        // chunk 0 first while thieves take the high chunks, which
+        // return at once after a violation at a lower index.
+        const uint64_t chunks = (total + chunk - 1) / chunk;
         TaskScheduler::Options sched_options;
-        sched_options.num_threads = threads;
+        sched_options.num_threads =
+            unsigned(std::min<uint64_t>(threads, chunks));
         TaskScheduler scheduler(sched_options);
         TaskScope scope(scheduler);
-        for (uint64_t lo = 0; lo < total; lo += chunk) {
+        for (uint64_t c = chunks; c-- > 0;) {
+            const uint64_t lo = c * chunk;
             const uint64_t hi = std::min(lo + chunk, total);
             scope.submit([&sweep, lo, hi] { sweep(lo, hi); });
         }

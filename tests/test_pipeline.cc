@@ -185,9 +185,10 @@ TEST(PipelineTest, FeedbackImprovesDetectionStatistically)
 }
 
 // num_threads = 1 is serial all the way down: the pipeline caps the
-// verifier's sweep threads (RefineOptions::num_threads defaults to 0,
-// i.e. hardware concurrency), so even a 20,000-sample FP sweep runs on
-// the caller and no scheduler task runs.
+// verifier's sweep threads, so even a 20,000-sample FP sweep runs on
+// the caller and no scheduler task runs. Both the default
+// RefineOptions::num_threads (0, i.e. hardware concurrency, which is 1
+// on a one-core host) and an explicit 8 must be capped.
 TEST(PipelineTest, SingleThreadPipelineVerifiesSerially)
 {
     ir::Context ctx;
@@ -198,16 +199,21 @@ TEST(PipelineTest, SingleThreadPipelineVerifiesSerially)
         "  ret double %b\n}\n").take();
     FixedModel model("define double @f(double %x) {\n"
                      "  ret double %x\n}\n");
-    PipelineConfig config;
-    config.num_threads = 1;
-    ASSERT_EQ(config.refine.num_threads, 0u);
-    Pipeline pipeline(model, config);
-
+    ASSERT_EQ(PipelineConfig().refine.num_threads, 0u);
     auto &registry = telemetry::MetricsRegistry::instance();
     registry.setEnabled(true);
-    const uint64_t before = registry.snapshot().counter("sched.tasks_run");
-    auto outcome = pipeline.optimizeSequence(*src, 1);
-    EXPECT_EQ(outcome.verifier_backend, "sampled");
-    EXPECT_EQ(outcome.status, CaseStatus::Found);
-    EXPECT_EQ(registry.snapshot().counter("sched.tasks_run"), before);
+    for (unsigned refine_threads : {0u, 8u}) {
+        SCOPED_TRACE(refine_threads);
+        PipelineConfig config;
+        config.num_threads = 1;
+        config.refine.num_threads = refine_threads;
+        Pipeline pipeline(model, config);
+
+        const uint64_t before =
+            registry.snapshot().counter("sched.tasks_run");
+        auto outcome = pipeline.optimizeSequence(*src, 1);
+        EXPECT_EQ(outcome.verifier_backend, "sampled");
+        EXPECT_EQ(outcome.status, CaseStatus::Found);
+        EXPECT_EQ(registry.snapshot().counter("sched.tasks_run"), before);
+    }
 }
