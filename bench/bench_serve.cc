@@ -5,18 +5,23 @@
  * out, store flush per request), cold store vs warm store.
  *
  * The cold pass pays every proof and journals verdicts + learned
- * rewrites; the warm pass is a fresh server process-life against the
- * same store and must replay findings through the catalog. This is
+ * rewrites; each of kWarmRuns warm passes is a fresh server
+ * process-life against the same store and must replay findings
+ * through the catalog. One pass is a fraction of a second, so a
+ * single timing swings with host load; the sustained figure is the
+ * median warm pass, reported with the min and max. This is
  * the service-level composition of bench_persist's store invariants
  * with the request loop's per-request overheads (spool scan, claim
  * rename, response fsync, flush).
  *
- * Emits BENCH_serve.json; tools/ci.sh gates sustained_modules_per_sec
- * against the committed baseline (>20% regression fails). The binary
- * itself fails on broken invariants: any non-ok response, a warm
- * response not byte-identical to its cold counterpart, or a warm run
- * that replayed nothing from the catalog.
+ * Emits BENCH_serve.json; tools/ci.sh gates the median
+ * sustained_modules_per_sec against the committed baseline (>20%
+ * regression fails). The binary itself fails on broken invariants:
+ * any non-ok response, a warm response (in any warm pass) not
+ * byte-identical to its cold counterpart, or a warm pass that
+ * replayed nothing from the catalog.
  */
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +45,7 @@ namespace {
 constexpr unsigned kModules = 200;
 constexpr unsigned kFunctions = 2;
 constexpr unsigned kBlocks = 1;
+constexpr unsigned kWarmRuns = 5;
 const char *kStoreDir = "BENCH_serve.store";
 
 std::string
@@ -147,10 +153,24 @@ main()
     }
 
     PhaseResult cold = runPhase("BENCH_serve.spool.cold");
-    PhaseResult warm = runPhase("BENCH_serve.spool.warm");
+    std::vector<PhaseResult> warm_runs;
+    for (unsigned run = 0; run < kWarmRuns; ++run)
+        warm_runs.push_back(runPhase("BENCH_serve.spool.warm"));
+    // Rank the warm passes by time; the median pass supplies every
+    // warm figure, so rate and p99 come from the same run.
+    std::vector<const PhaseResult *> ranked;
+    for (const PhaseResult &run : warm_runs)
+        ranked.push_back(&run);
+    std::sort(ranked.begin(), ranked.end(),
+              [](const PhaseResult *a, const PhaseResult *b) {
+                  return a->seconds > b->seconds;
+              });
+    const PhaseResult &warm = *ranked[ranked.size() / 2];
 
     double cold_rate = kModules / cold.seconds;
     double warm_rate = kModules / warm.seconds;
+    double warm_min_rate = kModules / ranked.front()->seconds;
+    double warm_max_rate = kModules / ranked.back()->seconds;
     double catalog_hit_rate =
         warm.found ? double(warm.found_by_catalog) / double(warm.found)
                    : 0.0;
@@ -158,12 +178,13 @@ main()
     std::printf(
         "serve stream: %u modules x %u functions x %u blocks\n"
         "  cold: %.1f modules/sec (%.2fs), p99 %.2f ms\n"
-        "  warm: %.1f modules/sec (%.2fs), p99 %.2f ms\n"
+        "  warm: median %.1f modules/sec over %u runs (min %.1f, max "
+        "%.1f), p99 %.2f ms\n"
         "  warm catalog: %llu/%llu findings replayed (%.0f%%), "
         "%llu LLM calls (cold %llu)\n",
         kModules, kFunctions, kBlocks, cold_rate, cold.seconds,
-        cold.p99_request_ms, warm_rate, warm.seconds,
-        warm.p99_request_ms,
+        cold.p99_request_ms, warm_rate, kWarmRuns, warm_min_rate,
+        warm_max_rate, warm.p99_request_ms,
         (unsigned long long)warm.found_by_catalog,
         (unsigned long long)warm.found, 100.0 * catalog_hit_rate,
         (unsigned long long)warm.llm_calls,
@@ -174,7 +195,10 @@ main()
     json.field("modules", kModules);
     json.field("functions_per_module", kFunctions);
     json.field("blocks_per_fn", kBlocks);
+    json.field("warm_runs", kWarmRuns);
     json.field("sustained_modules_per_sec", warm_rate, 1);
+    json.field("sustained_min_modules_per_sec", warm_min_rate, 1);
+    json.field("sustained_max_modules_per_sec", warm_max_rate, 1);
     json.field("cold_modules_per_sec", cold_rate, 1);
     json.field("warm_catalog_hit_rate", catalog_hit_rate, 3);
     json.field("p99_request_ms", warm.p99_request_ms, 2);
@@ -185,21 +209,34 @@ main()
     std::printf("wrote BENCH_serve.json\n");
 
     bool fail = false;
-    if (!cold.all_ok || !warm.all_ok) {
+    if (!cold.all_ok) {
         std::fprintf(stderr,
-                     "FAIL: not every request got an ok response\n");
+                     "FAIL: not every cold request got an ok response\n");
         fail = true;
     }
-    if (cold.responses != warm.responses) {
-        std::fprintf(stderr,
-                     "FAIL: warm responses diverged from cold\n");
-        fail = true;
-    }
-    if (warm.found_by_catalog == 0) {
-        std::fprintf(stderr,
-                     "FAIL: warm run replayed nothing from the "
-                     "catalog\n");
-        fail = true;
+    for (unsigned run = 0; run < kWarmRuns; ++run) {
+        const PhaseResult &pass = warm_runs[run];
+        if (!pass.all_ok) {
+            std::fprintf(stderr,
+                         "FAIL: warm run %u: not every request got an ok "
+                         "response\n",
+                         run);
+            fail = true;
+        }
+        if (pass.responses != cold.responses) {
+            std::fprintf(stderr,
+                         "FAIL: warm run %u: responses diverged from "
+                         "cold\n",
+                         run);
+            fail = true;
+        }
+        if (pass.found_by_catalog == 0) {
+            std::fprintf(stderr,
+                         "FAIL: warm run %u replayed nothing from the "
+                         "catalog\n",
+                         run);
+            fail = true;
+        }
     }
     return fail ? 1 : 0;
 }

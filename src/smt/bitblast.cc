@@ -65,7 +65,7 @@ CircuitBuilder::andGate(CLit a, CLit b)
     // (and(a,b) and and(-a,b) are distinct functions), but orGate's
     // De Morgan lowering shares through this table. All
     // canonicalization is gated on hashing_ so disabling the unique
-    // table reproduces the pre-hashing encoding exactly (the
+    // table yields the same gates with no sharing at all (the
     // benchmark's baseline mode).
     if (hashing_ && b < a)
         std::swap(a, b);
@@ -141,39 +141,109 @@ CircuitBuilder::muxGate(CLit sel, CLit t, CLit f)
         return f;
     if (t == f)
         return t;
+    // Constant, complementary and selector-valued arms reduce to one
+    // and/or/xor gate.
+    if (t == -f)
+        return xorGate(sel, f);
+    if (t == kTrue || t == sel)
+        return orGate(sel, f);
+    if (t == kFalse || t == -sel)
+        return andGate(-sel, f);
+    if (f == kFalse || f == sel)
+        return andGate(sel, t);
+    if (f == kTrue || f == -sel)
+        return orGate(-sel, t);
+    // Selector normalization, mux(-s, t, f) == mux(s, f, t), then arm
+    // negation, mux(s, -t, -f) == -mux(s, t, f), so the node is stored
+    // with a positive selector and a positive first arm. Gated on
+    // hashing_ (see andGate).
+    bool negate = false;
     if (hashing_) {
-        // Selector normalization: mux(-s, t, f) == mux(s, f, t).
         if (sel < 0) {
             sel = -sel;
             std::swap(t, f);
         }
-        // Constant/complement arms reduce to single (hashed) gates.
-        if (t == kTrue)
-            return orGate(sel, f);
-        if (t == kFalse)
-            return andGate(-sel, f);
-        if (f == kFalse)
-            return andGate(sel, t);
-        if (f == kTrue)
-            return orGate(-sel, t);
-        if (t == -f)
-            return xorGate(sel, f);
-        if (t == sel)
-            return orGate(sel, f);
-        if (t == -sel)
-            return andGate(-sel, f);
-        if (f == sel)
-            return andGate(sel, t);
-        if (f == -sel)
-            return orGate(-sel, t);
-        NodeKey key{2, sel, t, f};
-        if (CLit hit = lookupNode(key))
-            return hit;
-        CLit out = orGate(andGate(sel, t), andGate(-sel, f));
-        insertNode(key, out);
-        return out;
+        if (t < 0) {
+            t = -t;
+            f = -f;
+            negate = true;
+        }
     }
-    return orGate(andGate(sel, t), andGate(-sel, f));
+    NodeKey key{2, sel, t, f};
+    CLit out = lookupNode(key);
+    if (!out) {
+        out = freshLit();
+        // out <-> (sel ? t : f)
+        solver_.addTernary(-sel, -t, out);
+        solver_.addTernary(-sel, t, -out);
+        solver_.addTernary(sel, -f, out);
+        solver_.addTernary(sel, f, -out);
+        // Redundant, but they settle out as soon as both arms agree,
+        // before the selector is known.
+        solver_.addTernary(-t, -f, out);
+        solver_.addTernary(t, f, -out);
+        insertNode(key, out);
+    }
+    return negate ? -out : out;
+}
+
+CLit
+CircuitBuilder::majGate(CLit a, CLit b, CLit c)
+{
+    // A repeated operand decides the vote and a complementary pair
+    // cancels out (this also covers any two constants).
+    if (a == b || a == c)
+        return a;
+    if (b == c)
+        return b;
+    if (a == -b)
+        return c;
+    if (a == -c)
+        return b;
+    if (b == -c)
+        return a;
+    // One constant operand turns the vote into an and/or of the rest.
+    if (a == kTrue || a == kFalse)
+        std::swap(a, c);
+    else if (b == kTrue || b == kFalse)
+        std::swap(b, c);
+    if (c == kTrue)
+        return orGate(a, b);
+    if (c == kFalse)
+        return andGate(a, b);
+    // Self-duality, maj(-a, -b, -c) == -maj(a, b, c): the node is
+    // stored with at most one negative operand and the phase returned
+    // on top; operands in ascending order. Gated on hashing_ (see
+    // andGate).
+    bool negate = false;
+    if (hashing_) {
+        if ((a < 0) + (b < 0) + (c < 0) >= 2) {
+            a = -a;
+            b = -b;
+            c = -c;
+            negate = true;
+        }
+        if (b < a)
+            std::swap(a, b);
+        if (c < b)
+            std::swap(b, c);
+        if (b < a)
+            std::swap(a, b);
+    }
+    NodeKey key{3, a, b, c};
+    CLit out = lookupNode(key);
+    if (!out) {
+        out = freshLit();
+        // out <-> at least two of a, b, c
+        solver_.addTernary(-a, -b, out);
+        solver_.addTernary(-a, -c, out);
+        solver_.addTernary(-b, -c, out);
+        solver_.addTernary(a, b, -out);
+        solver_.addTernary(a, c, -out);
+        solver_.addTernary(b, c, -out);
+        insertNode(key, out);
+    }
+    return negate ? -out : out;
 }
 
 CLit
@@ -281,9 +351,8 @@ CircuitBuilder::bvAdd(const BitVec &a, const BitVec &b, CLit *carry_out)
     BitVec out(a.size());
     CLit carry = kFalse;
     for (size_t i = 0; i < a.size(); ++i) {
-        CLit axb = xorGate(a[i], b[i]);
-        out[i] = xorGate(axb, carry);
-        carry = orGate(andGate(a[i], b[i]), andGate(axb, carry));
+        out[i] = xorGate(xorGate(a[i], b[i]), carry);
+        carry = majGate(a[i], b[i], carry);
     }
     if (carry_out)
         *carry_out = carry;
@@ -299,9 +368,8 @@ CircuitBuilder::bvSub(const BitVec &a, const BitVec &b, CLit *borrow_out)
     BitVec out(a.size());
     CLit carry = kTrue;
     for (size_t i = 0; i < a.size(); ++i) {
-        CLit axb = xorGate(a[i], nb[i]);
-        out[i] = xorGate(axb, carry);
-        carry = orGate(andGate(a[i], nb[i]), andGate(axb, carry));
+        out[i] = xorGate(xorGate(a[i], nb[i]), carry);
+        carry = majGate(a[i], nb[i], carry);
     }
     if (borrow_out)
         *borrow_out = -carry;
@@ -471,9 +539,15 @@ CircuitBuilder::bvEq(const BitVec &a, const BitVec &b)
 CLit
 CircuitBuilder::bvULt(const BitVec &a, const BitVec &b)
 {
-    CLit borrow = kFalse;
-    bvSub(a, b, &borrow);
-    return borrow;
+    // a < b iff a - b borrows: only the carry chain of a + ~b + 1, no
+    // difference bits. Its majority nodes are the ones bvSub(a, b)
+    // builds, so a comparison next to that subtraction shares the
+    // chain through the unique table.
+    assert(a.size() == b.size());
+    CLit carry = kTrue;
+    for (size_t i = 0; i < a.size(); ++i)
+        carry = majGate(a[i], -b[i], carry);
+    return -carry;
 }
 
 CLit

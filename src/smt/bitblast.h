@@ -29,9 +29,10 @@ using BitVec = std::vector<CLit>;
  * Builds circuits over a SatSolver.
  *
  * Gate construction is structurally hashed (AIG-style unique table):
- * AND/XOR/MUX nodes are canonicalized (commutative operands ordered,
- * XOR negations pulled out of the node, MUX selector made positive)
- * and looked up before any variable or clause is emitted, so an
+ * AND/XOR/MUX/MAJ nodes are canonicalized (commutative operands
+ * ordered, XOR and MAJ negations pulled out of the node, MUX selector
+ * and first arm made positive) and looked up before any variable or
+ * clause is emitted, so an
  * identical subcircuit built twice — e.g. the re-encoded source
  * function shared by every candidate of one extraction site, or the
  * shared prefix of a src/tgt pair — costs one variable and one clause
@@ -79,8 +80,13 @@ class CircuitBuilder
     CLit orGate(CLit a, CLit b);
     CLit xorGate(CLit a, CLit b);
     CLit iffGate(CLit a, CLit b) { return -xorGate(a, b); }
-    /** sel ? t : f. */
+    /** sel ? t : f; one variable, six clauses. */
     CLit muxGate(CLit sel, CLit t, CLit f);
+    /**
+     * Majority of three (the full adder's carry); one variable, six
+     * clauses.
+     */
+    CLit majGate(CLit a, CLit b, CLit c);
     CLit andMany(const std::vector<CLit> &lits);
     CLit orMany(const std::vector<CLit> &lits);
 
@@ -157,7 +163,7 @@ class CircuitBuilder
     /** Unique-table key: a canonicalized gate application. */
     struct NodeKey
     {
-        uint8_t kind; // 0 = and, 1 = xor, 2 = mux
+        uint8_t kind; // 0 = and, 1 = xor, 2 = mux, 3 = maj
         CLit a = 0;
         CLit b = 0;
         CLit c = 0;

@@ -41,13 +41,18 @@ SatSolver::newVarImpl(bool decision)
     values_.push_back(kUndef);
     values_.push_back(kUndef);
     vardata_.push_back(VarData{-1, 0});
-    activities_.push_back(0.0);
     polarity_.push_back(0);
-    decision_.push_back(decision);
-    heap_pos_.push_back(-1);
+    queue_.push_back(QueueLink{});
     seen_.push_back(0);
     watches_.resize((num_vars_ + 1) * 2);
-    heapInsert(num_vars_);
+    // Activation vars never join the decision order; their values come
+    // from assumptions or release units only. A new decision variable
+    // is unassigned and the newest in the queue, so the search pointer
+    // moves to it.
+    if (decision) {
+        queueAppend(num_vars_);
+        queue_search_ = num_vars_;
+    }
     return num_vars_;
 }
 
@@ -64,63 +69,52 @@ SatSolver::newActivationVar()
 }
 
 // ---------------------------------------------------------------------
-// Decision-order heap
+// Decision queue
 // ---------------------------------------------------------------------
 
 void
-SatSolver::heapUp(size_t i)
+SatSolver::queueAppend(int var)
 {
-    int var = order_heap_[i];
-    while (i > 0) {
-        size_t parent = (i - 1) / 2;
-        int above = order_heap_[parent];
-        if (!heapLess(var, above))
-            break;
-        order_heap_[i] = above;
-        heap_pos_[above] = static_cast<int>(i);
-        i = parent;
-    }
-    order_heap_[i] = var;
-    heap_pos_[var] = static_cast<int>(i);
+    QueueLink &link = queue_[var];
+    link.prev = queue_last_;
+    link.next = 0;
+    link.stamp = ++queue_stamp_;
+    if (queue_last_)
+        queue_[queue_last_].next = var;
+    queue_last_ = var;
 }
 
 void
-SatSolver::heapDown(size_t i)
+SatSolver::queueUnlink(int var)
 {
-    // The better child moves up into the hole while it beats the sifted
-    // variable. heapLess is a strict total order, so this picks exactly
-    // the child the pairwise-swap form picks at every level.
-    int var = order_heap_[i];
-    const size_t size = order_heap_.size();
-    for (;;) {
-        size_t child = 2 * i + 1;
-        if (child >= size)
-            break;
-        if (child + 1 < size &&
-            heapLess(order_heap_[child + 1], order_heap_[child]))
-            ++child;
-        int below = order_heap_[child];
-        if (!heapLess(below, var))
-            break;
-        order_heap_[i] = below;
-        heap_pos_[below] = static_cast<int>(i);
-        i = child;
-    }
-    order_heap_[i] = var;
-    heap_pos_[var] = static_cast<int>(i);
+    const QueueLink &link = queue_[var];
+    if (link.prev)
+        queue_[link.prev].next = link.next;
+    if (link.next)
+        queue_[link.next].prev = link.prev;
+    else
+        queue_last_ = link.prev;
 }
 
 void
-SatSolver::heapInsert(int var)
+SatSolver::bumpAnalyzed()
 {
-    // Activation vars never join the decision order; their values come
-    // from assumptions or release units only.
-    if (!decision_[var])
-        return;
-    if (heap_pos_[var] != -1)
-        return;
-    order_heap_.push_back(var);
-    heapUp(order_heap_.size() - 1);
+    // Move every decision variable the last analysis resolved on to the
+    // back, oldest stamp first, so the bumped group keeps its relative
+    // order. They are all assigned now (they were on the conflict's
+    // trail), so the search pointer is left to backtrack.
+    bump_scratch_.clear();
+    for (int var : seen_clear_)
+        if (queue_[var].stamp != 0)
+            bump_scratch_.push_back(var);
+    std::sort(bump_scratch_.begin(), bump_scratch_.end(),
+              [&](int a, int b) {
+                  return queue_[a].stamp < queue_[b].stamp;
+              });
+    for (int var : bump_scratch_) {
+        queueUnlink(var);
+        queueAppend(var);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -308,22 +302,6 @@ SatSolver::propagate()
 }
 
 void
-SatSolver::bumpVar(int var)
-{
-    activities_[var] += var_inc_;
-    if (activities_[var] > 1e100) {
-        // The heap is not re-sifted after the rescale, whatever the
-        // scaled values now compare as (underflow can make distinct
-        // activities equal); see DESIGN.md on why its layout matters.
-        for (double &activity : activities_)
-            activity *= 1e-100;
-        var_inc_ *= 1e-100;
-    }
-    if (heap_pos_[var] != -1)
-        heapUp(static_cast<size_t>(heap_pos_[var]));
-}
-
-void
 SatSolver::bumpClause(int cref)
 {
     double activity = clauseActivity(cref) + cla_inc_;
@@ -337,13 +315,6 @@ SatSolver::bumpClause(int cref)
         }
         cla_inc_ *= 1e-20;
     }
-}
-
-void
-SatSolver::decayActivities()
-{
-    var_inc_ /= 0.95;
-    cla_inc_ /= 0.999;
 }
 
 bool
@@ -431,7 +402,6 @@ SatSolver::analyze(int conflict, std::vector<int> &learnt, uint32_t *lbd)
                 continue;
             seen_[var] = 1;
             seen_clear_.push_back(var);
-            bumpVar(var);
             if (level >= current_level) {
                 ++counter;
             } else {
@@ -567,7 +537,10 @@ SatSolver::backtrack(int level)
         values_[enc] = kUndef;
         values_[enc ^ 1] = kUndef;
         vardata_[var].reason = -1;
-        heapInsert(var);
+        // A freed variable newer than the search pointer becomes the
+        // pointer; activation vars (stamp 0) never qualify.
+        if (queue_[var].stamp > queue_[queue_search_].stamp)
+            queue_search_ = var;
     }
     trail_.resize(limit);
     trail_limits_.resize(level);
@@ -577,22 +550,13 @@ SatSolver::backtrack(int level)
 int
 SatSolver::pickBranchVar()
 {
-    // Pop until an unassigned variable surfaces; assigned entries are
-    // discarded (they re-enter the heap when backtracking unassigns
-    // them). The last entry fills the root hole, as in the swap form.
-    while (!order_heap_.empty()) {
-        int var = order_heap_[0];
-        int last = order_heap_.back();
-        order_heap_.pop_back();
-        heap_pos_[var] = -1;
-        if (!order_heap_.empty()) {
-            order_heap_[0] = last;
-            heapDown(0);
-        }
-        if (valueOf(var * 2) == kUndef)
-            return var;
-    }
-    return -1;
+    // Every variable behind the search pointer is assigned; walk toward
+    // the front to the first unassigned one and leave the pointer there.
+    int var = queue_search_;
+    while (var && valueOf(var * 2) != kUndef)
+        var = queue_[var].prev;
+    queue_search_ = var;
+    return var ? var : -1;
 }
 
 void
@@ -805,6 +769,7 @@ SatSolver::solveAssuming(const std::vector<Lit> &assumptions,
             }
             uint32_t lbd = 0;
             int bt_level = analyze(conflict, learnt_scratch_, &lbd);
+            bumpAnalyzed();
             backtrack(bt_level);
             if (learnt_scratch_.size() == 1) {
                 // Asserting at level 0 after the backjump, so the
@@ -820,7 +785,7 @@ SatSolver::solveAssuming(const std::vector<Lit> &assumptions,
                        "learnt clause must be asserting");
                 assign(learnt_scratch_[0], cref);
             }
-            decayActivities();
+            cla_inc_ /= 0.999;
         } else {
             if (conflicts_since_restart >= restart_limit) {
                 conflicts_since_restart = 0;

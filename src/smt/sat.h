@@ -5,9 +5,9 @@
  * This is the decision engine under the translation validator (the
  * system's Z3 substitute). It implements the standard conflict-driven
  * clause-learning loop: two-watched-literal propagation, 1UIP conflict
- * analysis with recursive clause minimization, activity-based
- * (VSIDS-style) decision ordering over a binary heap, phase saving,
- * Luby restarts with LBD-aware learnt-clause database reduction, and a
+ * analysis with recursive clause minimization, a VMTF
+ * (variable-move-to-front) decision queue, phase saving, Luby
+ * restarts with LBD-aware learnt-clause database reduction, and a
  * per-call conflict budget so callers can bound verification time
  * (Alive2-style timeouts).
  *
@@ -27,12 +27,12 @@
  * propagate loop touches one cache line per visited clause. Literal
  * values live in a per-literal table read with a single load; watch
  * entries carry a blocker slot so binary clauses propagate without
- * touching clause memory at all; the decision heap sifts with a hole
- * instead of pairwise swaps. All of these are representation changes
- * only: the search trajectory (every decision, propagation order,
- * learnt clause and its literal order, restart, reduction and model)
- * stays bit-identical across them, which is what keeps verdicts,
- * counterexamples and conflict counts stable across releases. DESIGN.md, "SAT engine layout and the trajectory
+ * touching clause memory at all. All of these are representation
+ * changes only: the search trajectory (every decision, propagation
+ * order, learnt clause and its literal order, restart, reduction and
+ * model) stays bit-identical across them, which is what keeps
+ * verdicts, counterexamples and conflict counts stable across
+ * releases. DESIGN.md, "SAT engine layout and the trajectory
  * invariant", lists what may and may not change;
  * SatTest.SearchTrajectoryIsPinned pins it.
  */
@@ -66,10 +66,8 @@ class SatSolver
         // Variables are 1-based; reserve the dummy slot 0.
         values_.assign(2, kUndef);
         vardata_.push_back(VarData{-1, 0});
-        activities_.push_back(0.0);
         polarity_.push_back(0);
-        decision_.push_back(0);
-        heap_pos_.push_back(-1);
+        queue_.push_back(QueueLink{});
         seen_.push_back(0);
         watches_.resize(2);
     }
@@ -80,7 +78,7 @@ class SatSolver
 
     /**
      * Allocate a fresh *activation* (selector) variable. It never
-     * enters the decision heap — its value comes only from assumptions
+     * enters the decision queue — its value comes only from assumptions
      * or from @ref releaseVar — so stale selectors cannot distract the
      * search. Guard a clause group as (-act OR C...) and pass +act to
      * solveAssuming to activate the group for one call.
@@ -277,9 +275,9 @@ class SatSolver
                       std::vector<int> &to_clear);
     void analyzeFinal(int failed_enc);
     void backtrack(int level);
-    void bumpVar(int var);
+    /** Move the variables @ref analyze marked to the queue's back. */
+    void bumpAnalyzed();
     void bumpClause(int cref);
-    void decayActivities();
     int pickBranchVar();
     int storeClause(const int *lits, size_t count, bool learnt,
                     uint32_t lbd, double activity);
@@ -298,18 +296,23 @@ class SatSolver
         return uint32_t(1) << (vardata_[var].level & 31);
     }
 
-    // Decision-order heap (max-heap on activity, ties to the lower
-    // variable index so the order is fully deterministic). Sifts move
-    // a hole instead of swapping pairwise; they perform the same
-    // comparisons and leave the same layout as the swap form.
-    bool heapLess(int a, int b) const
+    /**
+     * Decision order: a VMTF queue (Biere and Froehlich, SAT 2015). The
+     * decision variables form one doubly linked list, each stamped
+     * with the time it was last moved to the back; conflict analysis
+     * moves the variables it resolved on to the back, and decisions
+     * take the unassigned variable nearest the back. Variable 0 is the
+     * null link. Activation variables are never enqueued; their stamp
+     * stays 0.
+     */
+    struct QueueLink
     {
-        return activities_[a] > activities_[b] ||
-               (activities_[a] == activities_[b] && a < b);
-    }
-    void heapUp(size_t i);
-    void heapDown(size_t i);
-    void heapInsert(int var);
+        int prev = 0; ///< toward the front (older stamps)
+        int next = 0; ///< toward the back (newer stamps)
+        uint64_t stamp = 0;
+    };
+    void queueAppend(int var);
+    void queueUnlink(int var);
 
     int num_vars_ = 0;
     std::vector<int> arena_;                    // clause records
@@ -317,16 +320,17 @@ class SatSolver
     std::vector<int8_t> values_;            // per encoded literal
     std::vector<int8_t> model_;             // values_ of the last Sat
     std::vector<VarData> vardata_;          // per var
-    std::vector<double> activities_;        // per var
     std::vector<uint8_t> polarity_;         // per var, phase saving
-    std::vector<uint8_t> decision_;         // per var, heap-eligible
-    std::vector<int> order_heap_;           // vars, heap-ordered
-    std::vector<int> heap_pos_;             // var -> index or -1
+    std::vector<QueueLink> queue_;          // per var, decision queue
+    int queue_last_ = 0;                    // newest stamp
+    // Search pointer: every queued variable behind it (newer stamp) is
+    // assigned, so decisions walk toward the front from here.
+    int queue_search_ = 0;
+    uint64_t queue_stamp_ = 0;              // last stamp handed out
     std::vector<int> trail_;                // encoded lits
     std::vector<int> trail_limits_;
     std::vector<Lit> conflict_core_;        // last failing assumptions
     size_t propagate_head_ = 0;
-    double var_inc_ = 1.0;
     double cla_inc_ = 1.0;
     uint64_t num_learnts_ = 0;
     uint64_t reduce_limit_ = 2000;
@@ -338,8 +342,8 @@ class SatSolver
     // clause addition allocates: the conflict-analysis marker array
     // (cleared back to zero via seen_clear_ after every use — never
     // re-zeroed in bulk), the litRedundant DFS stack, the learnt-clause
-    // buffers, the per-level stamps that count a clause's LBD, and the
-    // addClause/solveAssuming literal buffers.
+    // buffers, the per-level stamps that count a clause's LBD, the
+    // bump order, and the addClause/solveAssuming literal buffers.
     std::vector<uint8_t> seen_;             // per var
     std::vector<int> seen_clear_;           // vars with seen_ set
     std::vector<int> redundant_stack_;
@@ -347,6 +351,7 @@ class SatSolver
     std::vector<int> minimize_clear_;
     std::vector<uint64_t> level_stamps_;    // per level, last LBD pass
     uint64_t lbd_stamp_ = 0;
+    std::vector<int> bump_scratch_;
     std::vector<int> add_scratch_;
     std::vector<int> assumption_encs_;
 

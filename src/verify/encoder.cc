@@ -42,12 +42,21 @@ typeEncodable(const Type *type)
  * turning what would be a comparator/multiplier commutativity proof
  * into a structurally shared cone. Ordering is by the operand bit
  * literals (lexicographic), so it is a pure function of the circuit
- * and deterministic across runs.
+ * and deterministic across runs. Constant bits order after variable
+ * ones, so a constant operand goes second, where it folds best: a
+ * multiplier row whose constant bit is 0 drops out entirely.
  */
 bool
 laneOrderedBefore(const BitVec &a, const BitVec &b)
 {
-    return a < b;
+    auto rank = [](CLit lit) {
+        bool constant = lit == CircuitBuilder::kTrue ||
+                        lit == CircuitBuilder::kFalse;
+        return std::make_pair(constant, lit);
+    };
+    return std::lexicographical_compare(
+        a.begin(), a.end(), b.begin(), b.end(),
+        [&](CLit x, CLit y) { return rank(x) < rank(y); });
 }
 
 /** Per-function encoding pass. */

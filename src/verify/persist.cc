@@ -94,10 +94,13 @@ verifyStoreFileOptions(bool read_only)
     KvOpenOptions options;
     options.client_tag = "lpo-verify-cache";
     options.format_version = 1;
-    // Pins refine.cc's cacheKey schema ("v1" prefix) plus the verdict
+    // Pins refine.cc's cacheKey schema ("v2" prefix) plus the verdict
     // payload layout: either changing bumps this string, and older
-    // files are rejected rather than misread.
-    options.options_key = "cachekey-v1;verdict-v1";
+    // files are rejected rather than misread. v2: stored SAT
+    // counterexamples are models of the VMTF-ordered engine; a v1
+    // file's models came from the VSIDS engine, and replaying them
+    // would break warm/cold byte identity.
+    options.options_key = "cachekey-v2;verdict-v1";
     options.read_only = read_only;
     return options;
 }

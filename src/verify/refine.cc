@@ -634,7 +634,7 @@ std::string
 cacheKey(const ir::Function &src, const ir::Function &tgt,
          const RefineOptions &options)
 {
-    std::string key = "v1\x01";
+    std::string key = "v2\x01";
     key += ir::printFunctionCanonical(src);
     key += '\x02';
     key += ir::printFunctionCanonical(tgt);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "smt/bitblast.h"
 #include "support/rng.h"
 
@@ -130,6 +133,149 @@ TEST(BitblastTest, HashingDisabledStillCorrectButLarger)
     hashed.bvMul(ha, hb);
     hashed.bvMul(ha, hb);
     EXPECT_LT(sat_hashed.numVars(), sat_plain.numVars());
+}
+
+TEST(BitblastTest, MajAndMuxCostOneVariableAndSixClauses)
+{
+    for (bool hashing : {true, false}) {
+        SatSolver sat;
+        CircuitBuilder cb(sat, hashing);
+        CLit a = cb.freshLit();
+        CLit b = cb.freshLit();
+        CLit c = cb.freshLit();
+        int vars = sat.numVars();
+        uint64_t clauses = sat.clausesAdded();
+        cb.majGate(a, -b, c);
+        EXPECT_EQ(sat.numVars(), vars + 1) << "hashing " << hashing;
+        EXPECT_EQ(sat.clausesAdded(), clauses + 6) << "hashing " << hashing;
+        cb.muxGate(a, -b, c);
+        EXPECT_EQ(sat.numVars(), vars + 2) << "hashing " << hashing;
+        EXPECT_EQ(sat.clausesAdded(), clauses + 12)
+            << "hashing " << hashing;
+    }
+}
+
+TEST(BitblastTest, MajAndMuxCanonicalizeUnderHashing)
+{
+    SatSolver sat;
+    CircuitBuilder cb(sat);
+    CLit a = cb.freshLit();
+    CLit b = cb.freshLit();
+    CLit c = cb.freshLit();
+
+    // Majority is symmetric and self-dual: every operand order and the
+    // all-complemented form share one node.
+    CLit m = cb.majGate(a, b, c);
+    int vars = sat.numVars();
+    EXPECT_EQ(cb.majGate(c, a, b), m);
+    EXPECT_EQ(cb.majGate(b, c, a), m);
+    EXPECT_EQ(cb.majGate(-a, -b, -c), -m);
+    CLit n = cb.majGate(-a, b, c);
+    EXPECT_EQ(cb.majGate(c, -a, b), n);
+    EXPECT_EQ(cb.majGate(a, -b, -c), -n);
+    EXPECT_EQ(sat.numVars(), vars + 1);
+
+    // Mux: positive selector, then positive first arm.
+    CLit x = cb.muxGate(a, b, c);
+    vars = sat.numVars();
+    EXPECT_EQ(cb.muxGate(-a, c, b), x);
+    EXPECT_EQ(cb.muxGate(a, -b, -c), -x);
+    EXPECT_EQ(cb.muxGate(-a, -c, -b), -x);
+    EXPECT_EQ(sat.numVars(), vars);
+}
+
+TEST(BitblastTest, MajAndMuxMatchTruthTablesOnEveryOperandMix)
+{
+    // Every operand triple drawn from the constants and both phases of
+    // three free inputs: constants, duplicates, complements and free
+    // operands in all positions. Each gate's output must equal the
+    // truth table under all eight input assignments, and must be
+    // forced there (the opposite value is refuted), with the unique
+    // table on and off.
+    const CLit kT = CircuitBuilder::kTrue, kF = CircuitBuilder::kFalse;
+    for (bool hashing : {true, false}) {
+        SatSolver sat;
+        CircuitBuilder cb(sat, hashing);
+        const CLit x[3] = {cb.freshLit(), cb.freshLit(), cb.freshLit()};
+        const CLit pool[] = {kT, kF, x[0], -x[0], x[1], -x[1], x[2], -x[2]};
+        struct Gate
+        {
+            CLit a, b, c, maj, mux;
+        };
+        std::vector<Gate> gates;
+        for (CLit a : pool)
+            for (CLit b : pool)
+                for (CLit c : pool)
+                    gates.push_back(
+                        {a, b, c, cb.majGate(a, b, c), cb.muxGate(a, b, c)});
+
+        for (unsigned assignment = 0; assignment < 8; ++assignment) {
+            auto value = [&](CLit lit) {
+                if (lit == kT || lit == kF)
+                    return lit == kT;
+                for (int i = 0; i < 3; ++i)
+                    if (lit == x[i] || lit == -x[i])
+                        return (((assignment >> i) & 1) != 0) == (lit > 0);
+                ADD_FAILURE() << "literal outside the pool";
+                return false;
+            };
+            std::vector<Lit> inputs;
+            for (int i = 0; i < 3; ++i)
+                inputs.push_back((assignment >> i) & 1 ? x[i] : -x[i]);
+            ASSERT_EQ(sat.solveAssuming(inputs), SatResult::Sat);
+            for (const Gate &g : gates) {
+                bool va = value(g.a), vb = value(g.b), vc = value(g.c);
+                bool want_maj = va + vb + vc >= 2;
+                bool want_mux = va ? vb : vc;
+                EXPECT_EQ(cb.modelLit(g.maj), want_maj)
+                    << "maj(" << g.a << "," << g.b << "," << g.c << ") @"
+                    << assignment << " hashing " << hashing;
+                EXPECT_EQ(cb.modelLit(g.mux), want_mux)
+                    << "mux(" << g.a << "," << g.b << "," << g.c << ") @"
+                    << assignment << " hashing " << hashing;
+                for (auto [out, want] : {std::pair{g.maj, want_maj},
+                                         std::pair{g.mux, want_mux}}) {
+                    if (out == kT || out == kF)
+                        continue; // folded: the model check above covers it
+                    std::vector<Lit> flipped = inputs;
+                    flipped.push_back(want ? -out : out);
+                    EXPECT_EQ(sat.solveAssuming(flipped), SatResult::Unsat)
+                        << "gate output not forced @" << assignment;
+                }
+            }
+        }
+    }
+}
+
+TEST(BitblastTest, CarryOnlyComparatorsEqualSubtractorBorrow)
+{
+    // Miter over all inputs at i1..i8: bvULt against bvSub's borrow,
+    // bvSLt against the subtractor's sign XOR its signed overflow. The
+    // unique table is off so the two sides are independent circuits.
+    for (unsigned width = 1; width <= 8; ++width) {
+        SatSolver sat;
+        CircuitBuilder cb(sat, /*structural_hashing=*/false);
+        BitVec a = cb.freshBV(width);
+        BitVec b = cb.freshBV(width);
+        CLit borrow = CircuitBuilder::kFalse;
+        BitVec diff = cb.bvSub(a, b, &borrow);
+        CLit slt_ref = cb.xorGate(diff.back(), cb.subOverflowsS(a, b));
+        cb.require(cb.orGate(cb.xorGate(cb.bvULt(a, b), borrow),
+                             cb.xorGate(cb.bvSLt(a, b), slt_ref)));
+        EXPECT_EQ(sat.solve(), SatResult::Unsat) << "i" << width;
+    }
+
+    // With the table on, the comparator is the subtraction's own
+    // borrow chain and adds nothing next to it.
+    SatSolver sat;
+    CircuitBuilder cb(sat);
+    BitVec a = cb.freshBV(8);
+    BitVec b = cb.freshBV(8);
+    CLit borrow = CircuitBuilder::kFalse;
+    cb.bvSub(a, b, &borrow);
+    int vars = sat.numVars();
+    EXPECT_EQ(cb.bvULt(a, b), borrow);
+    EXPECT_EQ(sat.numVars(), vars);
 }
 
 class BitblastOpProperty : public testing::TestWithParam<unsigned>

@@ -755,6 +755,89 @@ TEST(PersistentStoreTest, SkewedFileRunsMemoryOnlyOthersStillPersist)
     EXPECT_EQ(slurp(dir + "/" + std::string(kVerifyStoreFile)), before);
 }
 
+TEST(PersistentStoreTest, OldKeySchemaRejectedThenRepopulated)
+{
+    std::string dir = scratchDir("oldschema");
+    const std::string path = dir + "/" + std::string(kVerifyStoreFile);
+    ir::Context ctx;
+    std::vector<RefinementResult> plain;
+    plain.push_back(checkCached(ctx, kSatSrc, kSatTgt, nullptr));
+    plain.push_back(checkCached(ctx, kCorrectSrc, kCorrectTgt, nullptr));
+
+    // Write the store a v1 build would have left: the same records
+    // under "v1"-prefixed keys and the v1 options key. Its SAT
+    // counterexamples would be an older engine's models, which is why
+    // the schema moved.
+    {
+        VerifyCache cache;
+        auto store = PersistentStore::open(dir, &cache);
+        ASSERT_NE(store, nullptr);
+        checkCached(ctx, kSatSrc, kSatTgt, &cache);
+        checkCached(ctx, kCorrectSrc, kCorrectTgt, &cache);
+    }
+    std::vector<std::pair<std::string, std::string>> records;
+    {
+        KvStore kv;
+        ASSERT_EQ(openCollect(&kv, path, verifyStoreFileOptions(),
+                              &records),
+                  KvOpen::Loaded);
+    }
+    ASSERT_EQ(records.size(), 2u);
+    ::unlink(path.c_str());
+    {
+        KvOpenOptions v1 = verifyStoreFileOptions();
+        v1.options_key = "cachekey-v1;verdict-v1";
+        KvStore kv;
+        ASSERT_EQ(kv.open(path, v1, nullptr), KvOpen::Fresh);
+        for (const auto &[key, value] : records) {
+            ASSERT_EQ(key.compare(0, 3, "v2\x01"), 0);
+            kv.append("v1" + key.substr(2), value);
+        }
+    }
+    const std::string old_bytes = slurp(path);
+
+    // Rejected untouched: nothing loads, the run verifies cold and
+    // persists nothing into the old file.
+    {
+        VerifyCache cache;
+        std::string warning;
+        auto store = PersistentStore::open(dir, &cache, &warning);
+        ASSERT_NE(store, nullptr);
+        EXPECT_FALSE(warning.empty());
+        EXPECT_EQ(store->stats().rejected_files, 1u);
+        EXPECT_FALSE(store->cacheFileUsable());
+        EXPECT_EQ(store->stats().cache_loaded, 0u);
+        expectSameResult(plain[0], checkCached(ctx, kSatSrc, kSatTgt,
+                                               &cache));
+        expectSameResult(plain[1], checkCached(ctx, kCorrectSrc,
+                                               kCorrectTgt, &cache));
+        EXPECT_EQ(cache.stats().misses, 2u);
+    }
+    EXPECT_EQ(slurp(path), old_bytes);
+
+    // Once the stale file is gone the next run repopulates it under the
+    // current schema, and a warm run replays byte-identically.
+    ::unlink(path.c_str());
+    {
+        VerifyCache cache;
+        auto store = PersistentStore::open(dir, &cache);
+        ASSERT_NE(store, nullptr);
+        EXPECT_TRUE(store->cacheFileUsable());
+        checkCached(ctx, kSatSrc, kSatTgt, &cache);
+        checkCached(ctx, kCorrectSrc, kCorrectTgt, &cache);
+    }
+    VerifyCache warm;
+    auto store = PersistentStore::open(dir, &warm);
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(store->stats().rejected_files, 0u);
+    EXPECT_EQ(store->stats().cache_loaded, 2u);
+    expectSameResult(plain[0], checkCached(ctx, kSatSrc, kSatTgt, &warm));
+    expectSameResult(plain[1],
+                     checkCached(ctx, kCorrectSrc, kCorrectTgt, &warm));
+    EXPECT_EQ(warm.stats().hits, 2u);
+    EXPECT_EQ(warm.stats().misses, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Snapshot write faults, advisory locking, quarantine bounds
 // ---------------------------------------------------------------------

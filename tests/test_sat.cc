@@ -181,6 +181,47 @@ TEST(SatTest, LubyRestartsAreCountedAndDeterministic)
     EXPECT_EQ(a.propagations(), b.propagations());
 }
 
+TEST(SatTest, DecisionQueueIsDeterministic)
+{
+    // Two solvers driven through the same clauses and the same sequence
+    // of solves under changing assumptions take the same search: equal
+    // conflicts, decisions and propagations after every call, and
+    // bit-identical models.
+    auto build = [](SatSolver &s) {
+        Rng rng(0xD1CE);
+        const int nv = 120;
+        for (int v = 0; v < nv; ++v)
+            s.newVar();
+        for (int c = 0; c < 500; ++c) {
+            std::vector<Lit> clause;
+            for (int l = 0; l < 3; ++l) {
+                int v = 1 + static_cast<int>(rng.nextBelow(nv));
+                clause.push_back(rng.chance(0.5) ? v : -v);
+            }
+            s.addClause(clause);
+        }
+    };
+    SatSolver a, b;
+    build(a);
+    build(b);
+    const std::vector<std::vector<Lit>> calls = {
+        {}, {3, -7}, {-3, 11, 40}, {}, {-1, -2, -5, 9}};
+    for (size_t i = 0; i < calls.size(); ++i) {
+        SatResult ra = a.solveAssuming(calls[i]);
+        SatResult rb = b.solveAssuming(calls[i]);
+        ASSERT_EQ(ra, rb) << "call " << i;
+        EXPECT_EQ(a.conflicts(), b.conflicts()) << "call " << i;
+        EXPECT_EQ(a.decisions(), b.decisions()) << "call " << i;
+        EXPECT_EQ(a.propagations(), b.propagations()) << "call " << i;
+        if (ra != SatResult::Sat)
+            continue;
+        for (int v = 1; v <= a.numVars(); ++v)
+            ASSERT_EQ(a.modelValue(v), b.modelValue(v))
+                << "call " << i << " var " << v;
+    }
+    EXPECT_GT(a.conflicts(), 0u) << "instance too easy to exercise bumps";
+}
+
 class SatFuzzProperty : public testing::TestWithParam<int>
 {
 };
@@ -248,13 +289,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SatFuzzProperty,
 // Search-trajectory pin
 // ---------------------------------------------------------------------
 //
-// The solver's representation (clause storage, watch lists, heap
-// sifts, value tables) may change; its search may not. Every decision,
+// The solver's representation (clause storage, watch lists, queue
+// links, value tables) may change; its search may not. Every decision,
 // propagation order, learnt clause, restart, reduction and model is a
 // pure function of the input, and verdicts, counterexamples and the
 // benchmark's conflict counts all rest on that. These counts were
-// recorded before the engine's hot paths were rewritten and must never
-// move on a representation change: if one does, the search moved.
+// recorded when the VMTF decision queue replaced the VSIDS heap (and
+// majority/mux gates shrank the encoded queries) and must never move
+// on a representation change: if one does, the search moved.
 
 namespace {
 
@@ -316,7 +358,7 @@ TEST(SatTest, SearchTrajectoryIsPinned)
                   "  %x = and i64 %a, %b\n  %y = or i64 %a, %b\n"
                   "  %r = add i64 %x, %y\n  ret i64 %r\n"),
          binaryFn("tgt", i64, "  %r = add i64 %a, %b\n  ret i64 %r\n"),
-         953, 2794, {2084, 13394, 120004, 13, 1310}},
+         764, 2605, {1905, 12574, 73361, 12, 1894}},
         {"umax(a,b)-b -> usub.sat, i32",
          binaryFn("src", i32,
                   "  %m = call i32 @llvm.umax.i32(i32 %a, i32 %b)\n"
@@ -324,7 +366,7 @@ TEST(SatTest, SearchTrajectoryIsPinned)
          binaryFn("tgt", i32,
                   "  %r = call i32 @llvm.usub.sat.i32(i32 %a, i32 %b)\n"
                   "  ret i32 %r\n"),
-         571, 1680, {1007, 5163, 54613, 6, 995}},
+         443, 1609, {1673, 4899, 68298, 10, 1665}},
         {"add/icmp ult/select -> uadd.sat, i32",
          binaryFn("src", i32,
                   "  %s = add i32 %a, %b\n"
@@ -333,7 +375,7 @@ TEST(SatTest, SearchTrajectoryIsPinned)
          binaryFn("tgt", i32,
                   "  %r = call i32 @llvm.uadd.sat.i32(i32 %a, i32 %b)\n"
                   "  ret i32 %r\n"),
-         506, 1485, {749, 2549, 69231, 5, 743}},
+         318, 1044, {603, 4346, 29023, 4, 596}},
         {"umin(umin(a,b),a) -> umin(a,b), i64",
          binaryFn("src", i64,
                   "  %m = call i64 @llvm.umin.i64(i64 %a, i64 %b)\n"
@@ -342,7 +384,7 @@ TEST(SatTest, SearchTrajectoryIsPinned)
          binaryFn("tgt", i64,
                   "  %r = call i64 @llvm.umin.i64(i64 %a, i64 %b)\n"
                   "  ret i64 %r\n"),
-         1275, 3760, {800, 28745, 279238, 5, 789}},
+         511, 1976, {515, 11490, 62402, 4, 511}},
     };
     for (const Query &q : queries) {
         ir::Context ctx;
@@ -376,8 +418,8 @@ TEST(SatTest, SearchTrajectoryIsPinned)
                 for (int j = i + 1; j < pigeons; ++j)
                     s.addBinary(-var[i][hole], -var[j][hole]);
         EXPECT_EQ(s.solve(), SatResult::Unsat);
-        expectTrajectory(s, {3886, 4710, 49375, 20, 1152}, "PHP(8,7)");
-        EXPECT_EQ(s.learntsRemoved(), 2732u) << "PHP(8,7)";
+        expectTrajectory(s, {11113, 13374, 141848, 45, 5109}, "PHP(8,7)");
+        EXPECT_EQ(s.learntsRemoved(), 5999u) << "PHP(8,7)";
     }
 
     // A satisfiable planted 3-SAT instance near the threshold: the
@@ -407,13 +449,14 @@ TEST(SatTest, SearchTrajectoryIsPinned)
             s.addClause(clause);
         }
         ASSERT_EQ(s.solve(), SatResult::Sat);
-        expectTrajectory(s, {650, 923, 31052, 5, 650}, "planted 3-SAT");
+        expectTrajectory(s, {3345, 4569, 148005, 16, 2348},
+                         "planted 3-SAT");
         EXPECT_EQ(modelBits(s),
-                  "11010101011100000100110111100100111011010001001101"
-                  "11000010000110100001100101101011011110111110110100"
-                  "01110111100000000100111100011100100111101110110101"
-                  "01000011100100110000100011011100110100101010011001"
-                  "10111011111010001100101001110101100110011011001100")
+                  "01011011010000100110101111110100110011000110011001"
+                  "01011000000100001010100001101011111100011110100100"
+                  "01101100110000100101101101011110100111000001011101"
+                  "01000011100101101101111011001001110110110011101011"
+                  "01110101111110001100100000000001100111011011100000")
             << "planted 3-SAT model";
     }
 
@@ -444,13 +487,14 @@ TEST(SatTest, SearchTrajectoryIsPinned)
                      "  %s = sub i32 %a, %b\n"
                      "  %r = select i1 %c, i32 %s, i32 0\n  ret i32 %r\n"),
         };
-        const std::string mismatch =
-            "ERROR: value mismatch\n\nExample:\ni32 %a = 0\n"
-            "i32 %b = -2147483648\nSource value: 0\n"
-            "Target value: -2147483648\n";
         const std::string proved = "Transformation seems to be correct!";
-        const std::string want_details[] = {mismatch, proved, mismatch,
-                                            proved};
+        const std::string want_details[] = {
+            "ERROR: value mismatch\n\nExample:\ni32 %a = -2147483646\n"
+            "i32 %b = -2147483643\nSource value: 0\nTarget value: -3\n",
+            proved,
+            "ERROR: value mismatch\n\nExample:\ni32 %a = -2147483645\n"
+            "i32 %b = 0\nSource value: -2147483645\nTarget value: 0\n",
+            proved};
         verify::SatTelemetry telemetry;
         verify::RefineOptions options;
         options.num_threads = 1;
@@ -464,11 +508,11 @@ TEST(SatTest, SearchTrajectoryIsPinned)
                 << "candidate " << i;
         }
         EXPECT_EQ(telemetry.solves, 6u);
-        EXPECT_EQ(telemetry.decisions, 11130u);
-        EXPECT_EQ(telemetry.conflicts, 1251u);
-        EXPECT_EQ(telemetry.propagations, 113482u);
-        EXPECT_EQ(telemetry.restarts, 8u);
-        EXPECT_EQ(telemetry.learnts_carried, 763u);
+        EXPECT_EQ(telemetry.decisions, 14467u);
+        EXPECT_EQ(telemetry.conflicts, 2239u);
+        EXPECT_EQ(telemetry.propagations, 112441u);
+        EXPECT_EQ(telemetry.restarts, 13u);
+        EXPECT_EQ(telemetry.learnts_carried, 1434u);
         EXPECT_EQ(telemetry.session_fallbacks, 2u);
     }
 }

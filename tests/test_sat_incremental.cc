@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "ir/printer.h"
 #include "llm/mock_model.h"
 #include "opt/opt_driver.h"
+#include "smt/bitblast.h"
 #include "smt/sat.h"
 #include "support/rng.h"
 #include "verify/refine.h"
@@ -90,6 +93,57 @@ TEST(SatIncrementalTest, ReleaseReclaimsGuardedClauses)
     EXPECT_GT(s.clausesReclaimed(), reclaimed_before)
         << "release must sweep the guarded group";
     EXPECT_EQ(s.solve(), SatResult::Sat);
+}
+
+TEST(SatIncrementalTest, ActivationVarsAreNeverDecided)
+{
+    // A session-shaped stream: one shared source circuit and three
+    // candidate miters alive at once, each behind its own activation
+    // var. The inputs are pinned by assumptions, so propagation fixes
+    // every circuit variable and the only free variables left are the
+    // other candidates' selectors. Deciding one of them would count as
+    // a decision; the queue never holds them, so none is made.
+    SatSolver sat;
+    CircuitBuilder cb(sat);
+    BitVec a = cb.freshBV(8);
+    BitVec b = cb.freshBV(8);
+    BitVec src = cb.bvAdd(cb.bvAnd(a, b), cb.bvOr(a, b));
+    struct Candidate
+    {
+        BitVec bits;
+        uint8_t (*eval)(uint8_t, uint8_t);
+    };
+    const Candidate candidates[] = {
+        {cb.bvAdd(a, b), [](uint8_t x, uint8_t y) -> uint8_t { return x + y; }},
+        {cb.bvXor(a, b), [](uint8_t x, uint8_t y) -> uint8_t { return x ^ y; }},
+        {cb.bvSub(a, b), [](uint8_t x, uint8_t y) -> uint8_t { return x - y; }},
+    };
+    std::vector<int> selectors;
+    for (const Candidate &c : candidates) {
+        int act = sat.newActivationVar();
+        cb.requireImplies(act, -cb.bvEq(src, c.bits));
+        selectors.push_back(act);
+    }
+    const std::pair<uint8_t, uint8_t> inputs[] = {
+        {200, 100}, {3, 5}, {0, 255}, {128, 128}};
+    for (size_t i = 0; i < std::size(candidates); ++i) {
+        for (auto [x, y] : inputs) {
+            std::vector<Lit> assumptions = {selectors[i]};
+            for (int bit = 0; bit < 8; ++bit) {
+                assumptions.push_back((x >> bit) & 1 ? a[bit] : -a[bit]);
+                assumptions.push_back((y >> bit) & 1 ? b[bit] : -b[bit]);
+            }
+            uint8_t want = static_cast<uint8_t>(x + y);
+            SatResult expected = candidates[i].eval(x, y) == want
+                                     ? SatResult::Unsat
+                                     : SatResult::Sat;
+            EXPECT_EQ(sat.solveAssuming(assumptions), expected)
+                << "candidate " << i << " at " << int(x) << "," << int(y);
+            EXPECT_EQ(sat.decisions(), 0u)
+                << "candidate " << i << " at " << int(x) << "," << int(y);
+        }
+        sat.releaseVar(selectors[i]);
+    }
 }
 
 TEST(SatIncrementalTest, UnsatCoreIsSufficient)
