@@ -47,8 +47,8 @@ class CircuitBuilder
 
     /**
      * @param structural_hashing enables the unique table. Disabled
-     *        only by the throughput benchmark to measure the pre-PR
-     *        encoding cost; production callers leave it on.
+     *        only by the throughput benchmark to measure the same
+     *        gates without sharing; production callers leave it on.
      */
     explicit CircuitBuilder(SatSolver &solver,
                             bool structural_hashing = true)
